@@ -3,7 +3,8 @@ synthesis, augmentation sampling, robustness metrics, and derivative-free
 parameter fitting."""
 
 from .raw import (BayerImage, CfaPattern, GrayImage, LinearRgbImage,
-                  demosaic_bilinear, mosaic, normalize_raw, visualize_raw)
+                  demosaic_bilinear, mosaic, normalize_raw, spatial_filter,
+                  visualize_raw)
 from .isp import (IspParams, Kernel2D, NilutWeights, QalWeights, apply_ccm,
                   constrain_params, develop, develop_linear, encode_display,
                   gain_denoise_sharpen, make_gaussian_kernel, nilut_forward,

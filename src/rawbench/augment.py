@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .raw import LinearRgbImage
+from .raw import LinearRgbImage, spatial_filter
 from .isp import make_gaussian_kernel
-from .corrupt import _convolve_rgb
 from .rng import RngStream
 
 _GRID = float(1 << 26)
@@ -128,12 +127,12 @@ def sample_quality_params(config: AugmentConfig, rng: RngStream) -> dict:
 def augment_quality(x: LinearRgbImage, config: AugmentConfig, rng: RngStream):
     p = sample_quality_params(config, rng)
     kernel = make_gaussian_kernel(p["r1"], p["r2"], p["angle"], p["size"])
-    blurred = _convolve_rgb(x.data, kernel.taps)
+    blurred = spatial_filter(x.data, kernel.taps)
     noise = p["awgn_sigma"] * rng.normals(x.data.size).reshape(x.data.shape)
     if config.blur_before_noise:
         out = blurred + noise
     else:
-        out = _convolve_rgb(x.data + noise, kernel.taps)
+        out = spatial_filter(x.data + noise, kernel.taps)
     return LinearRgbImage(out), p
 
 

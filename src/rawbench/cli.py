@@ -58,8 +58,11 @@ def _sha256(path) -> str:
 def cmd_develop(args) -> int:
     bayer = fmt.read_raw(args.raw)
     params = fmt.read_isp_params(args.params) if args.params else isp.IspParams.identity()
-    out, stages = isp.develop(bayer, params, kernel_size=args.kernel_size,
-                              return_stages=True)
+    if args.dump_stages:
+        out, stages = isp.develop(bayer, params, kernel_size=args.kernel_size,
+                                  return_stages=True)
+    else:
+        out = isp.develop(bayer, params, kernel_size=args.kernel_size)
     mode = "display8_ppm" if args.display8 else "linear16_ppm"
     fmt.write_rgb(out, args.out, mode=mode, gamma=args.gamma)
     if args.dump_stages:
@@ -70,7 +73,7 @@ def cmd_develop(args) -> int:
     return EXIT_OK
 
 
-def _spec_for(args, kind: str, seed: int) -> cor.CorruptionSpec:
+def _spec_for(kind: str, seed: int) -> cor.CorruptionSpec:
     return cor.CorruptionSpec(kind=kind, seed=seed, params={})
 
 
@@ -105,7 +108,7 @@ def cmd_corrupt(args) -> int:
     if args.spec:
         spec = fmt.read_corruption_spec(args.spec)
     elif args.kind:
-        spec = _spec_for(args, args.kind, seed)
+        spec = _spec_for(args.kind, seed)
     else:
         print("corrupt: need --spec or --kind", file=sys.stderr)
         return EXIT_USAGE

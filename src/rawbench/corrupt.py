@@ -12,11 +12,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import convolve, map_coordinates
+from scipy.ndimage import map_coordinates
 
 from .errors import DimensionError, MissingDependencyError, ParameterError
-from .raw import BORDER_MODE, BayerImage, LinearRgbImage
-from .isp import make_gaussian_kernel
+from .raw import BayerImage, LinearRgbImage, spatial_filter
 from .rng import RngStream
 
 
@@ -262,19 +261,12 @@ def defocus_psf(radius: float) -> np.ndarray:
     return taps / taps.sum()
 
 
-def _convolve_rgb(data: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    out = np.empty_like(data)
-    for c in range(3):
-        out[..., c] = convolve(data[..., c], taps, mode=BORDER_MODE)
-    return out
-
-
 def corrupt_motion_blur(x: LinearRgbImage, length: float, angle: float) -> LinearRgbImage:
-    return LinearRgbImage(_convolve_rgb(x.data, motion_blur_psf(length, angle)))
+    return LinearRgbImage(spatial_filter(x.data, motion_blur_psf(length, angle)))
 
 
 def corrupt_defocus_blur(x: LinearRgbImage, radius: float) -> LinearRgbImage:
-    return LinearRgbImage(_convolve_rgb(x.data, defocus_psf(radius)))
+    return LinearRgbImage(spatial_filter(x.data, defocus_psf(radius)))
 
 
 def corrupt_sensor_noise(x: LinearRgbImage, noise: NoiseModel, bits: int,

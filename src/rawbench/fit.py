@@ -124,7 +124,6 @@ def _coordinate_search(evaluate, x0, bounds, budget, init_step):
     steps = init_step * spans
     used = 1
     while used < budget and np.any(steps > 1e-12 * spans):
-        improved_any = False
         for d in range(dims):
             if used >= budget:
                 break
@@ -141,13 +140,9 @@ def _coordinate_search(evaluate, x0, bounds, budget, init_step):
                 if loss < best:
                     best, x = loss, cand
                     steps[d] = min(steps[d] * 2.0, spans[d])
-                    improved_any = True
                     break
             else:
                 steps[d] *= 0.5
-        if not improved_any:
-            # entire sweep failed; steps already halved axis by axis
-            continue
     return x, best, used
 
 

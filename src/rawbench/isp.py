@@ -11,13 +11,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import convolve
 
 from .errors import DimensionError, ParameterError
-from .raw import BORDER_MODE, BayerImage, LinearRgbImage, demosaic_bilinear
+from .raw import BayerImage, LinearRgbImage, demosaic_bilinear, spatial_filter
 
 NILUT_HIDDEN_WIDTH = 32
 NILUT_LAYER_DIMS = (3, 32, 32, 32, 3)
+# Pixels per NILUT block: keeps the 32-wide activations cache-resident
+# instead of materializing several (H*W, 32) arrays.
+NILUT_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,8 @@ class Kernel2D:
             raise ParameterError("kernel must be square")
         if t.shape[0] % 2 == 0:
             raise ParameterError("kernel size must be odd")
+        if not np.all(np.isfinite(t)):
+            raise ParameterError("kernel taps must be finite")
         if abs(float(t.sum()) - 1.0) > 1e-9:
             raise ParameterError("kernel taps must sum to 1")
 
@@ -48,6 +52,8 @@ def make_gaussian_kernel(r1: float, r2: float, theta: float, size: int) -> Kerne
     """Anisotropic Gaussian: taps ~ exp(-(b0 x^2 + 2 b1 x y + b2 y^2)),
     normalized to sum 1. r1 is the major-axis radius, r2 the minor-axis.
     """
+    if not all(math.isfinite(v) for v in (r1, r2, theta)):
+        raise ParameterError("kernel parameters must be finite")
     if r1 <= 0 or r2 <= 0:
         raise ParameterError("kernel radii must be positive")
     if size < 1 or size % 2 == 0:
@@ -93,6 +99,8 @@ class NilutWeights:
                 raise ParameterError(
                     f"layer {i} must map {dims[i]}->{dims[i + 1]}, got {w.shape}"
                 )
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+                raise ParameterError(f"layer {i} weights must be finite")
         if self.activation != "tanh":
             raise ParameterError("unsupported activation")
         if not self.residual:
@@ -159,6 +167,9 @@ class IspParams:
     lut: NilutWeights = field(default_factory=NilutWeights.identity)
 
     def __post_init__(self):
+        scalars = (self.g, self.r1, self.r2, self.theta, self.sigma, self.rho)
+        if not all(math.isfinite(v) for v in scalars):
+            raise ParameterError("ISP parameters must be finite")
         if self.g < 0:
             raise ParameterError("gain must be >= 0")
         if self.r1 <= 0 or self.r2 <= 0:
@@ -181,10 +192,10 @@ def gain_denoise_sharpen(img: LinearRgbImage, g: float, kernel: Kernel2D,
     if not 0.0 < sigma < 1.0:
         raise ParameterError("sigma must lie strictly inside (0, 1)")
     amplified = g * img.data
-    blurred = np.empty_like(amplified)
-    for c in range(3):
-        blurred[..., c] = convolve(amplified[..., c], kernel.taps, mode=BORDER_MODE)
-    out = blurred + (amplified - blurred) * sigma
+    blurred = spatial_filter(amplified, kernel.taps)
+    out = amplified - blurred
+    out *= sigma
+    out += blurred
     return LinearRgbImage(out)
 
 
@@ -225,14 +236,28 @@ def apply_ccm(img: LinearRgbImage, ccm: np.ndarray) -> LinearRgbImage:
 
 
 def nilut_forward(img: LinearRgbImage, weights: NilutWeights) -> LinearRgbImage:
-    """Residual per-pixel MLP: out = in + MLP(in)."""
+    """Residual per-pixel MLP: out = in + MLP(in).
+
+    An all-zero final weight matrix makes the MLP the constant b_last
+    (h @ 0 is a signed zero), so that case is one add. Otherwise the MLP
+    runs over blocks of NILUT_BLOCK_ROWS pixels.
+    """
     flat = img.data.reshape(-1, 3)
-    h = flat
-    for w, b in weights.layers[:-1]:
-        h = np.tanh(h @ w + b)
     w_last, b_last = weights.layers[-1]
-    correction = h @ w_last + b_last
-    out = flat + correction
+    if not np.any(w_last):
+        out = flat + b_last
+    else:
+        out = np.empty_like(flat)
+        for start in range(0, flat.shape[0], NILUT_BLOCK_ROWS):
+            block = flat[start:start + NILUT_BLOCK_ROWS]
+            h = block
+            for w, b in weights.layers[:-1]:
+                h = h @ w
+                h += b
+                np.tanh(h, out=h)
+            correction = h @ w_last
+            correction += b_last
+            np.add(block, correction, out=out[start:start + NILUT_BLOCK_ROWS])
     return LinearRgbImage(out.reshape(img.height, img.width, 3))
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.ndimage import convolve
+from scipy.ndimage import convolve, convolve1d
 
 from .errors import DimensionError, ParameterError
 
@@ -101,7 +101,7 @@ class LinearRgbImage:
 
     @classmethod
     def from_planes(cls, r, g, b) -> "LinearRgbImage":
-        return cls(np.stack([r, g, b], axis=-1).astype(np.float64))
+        return cls(np.stack([r, g, b], axis=-1).astype(np.float64, copy=False))
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,58 @@ def mosaic(rgb: LinearRgbImage, cfa: CfaPattern, bit_depth: int = 16,
                       black_level=black_level, white_level=white_level)
 
 
+# Rank-1 test tolerance: taps rebuilt from their peak row and column must
+# match every tap to this fraction of the largest tap.
+SEPARABLE_RTOL = 1e-12
+# Two 1-D passes beat one 2-D pass only from this many taps on (2-D vs
+# separable at 1024^2 x 3, 2 cores: 3x3 0.05 s vs 0.10 s, 5x5 0.09 s vs
+# 0.11 s, 7x7 0.16 s vs 0.11 s).
+SEPARABLE_MIN_TAPS = 26
+
+
+def separable_factors(taps: np.ndarray):
+    """(column, row) with taps == outer(column, row), or None if not rank 1.
+
+    The factors come from the row and column through the largest tap, so
+    the test costs one outer product and no decomposition.
+    """
+    peak = np.unravel_index(np.argmax(np.abs(taps)), taps.shape)
+    scale = taps[peak]
+    if scale == 0.0:
+        return None
+    column = taps[:, peak[1]]
+    row = taps[peak[0], :] / scale
+    if np.max(np.abs(np.outer(column, row) - taps)) > SEPARABLE_RTOL * abs(scale):
+        return None
+    return column, row
+
+
+def spatial_filter(data: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Convolve an (H, W) or (H, W, C) array with 2-D taps over its two
+    spatial axes, every channel alike, with whole-sample mirror borders.
+
+    Rank-1 taps (an axis-aligned Gaussian, a box) with at least
+    SEPARABLE_MIN_TAPS taps run as two 1-D passes, one per axis:
+    O(kh + kw) work per sample instead of O(kh * kw). Every other kernel
+    takes one 2-D convolution: a rotated Gaussian, a motion-blur line or a
+    defocus disk (not rank 1), and small kernels such as the demosaic
+    kernels or a 1x1 tap, where one pass is cheaper than two. The paths
+    agree to rounding (about 1e-15 on unit-range data).
+    """
+    taps = np.asarray(taps, dtype=np.float64)
+    if taps.ndim != 2 or not np.all(np.isfinite(taps)):
+        raise ParameterError("filter taps must be a finite 2-D array")
+    if data.ndim not in (2, 3):
+        raise DimensionError("filter input must be (H, W) or (H, W, C)")
+    factors = separable_factors(taps) if taps.size >= SEPARABLE_MIN_TAPS else None
+    if factors is None:
+        kernel = taps if data.ndim == 2 else taps[..., None]
+        return convolve(data, kernel, mode=BORDER_MODE)
+    column, row = factors
+    out = convolve1d(data, column, axis=0, mode=BORDER_MODE)
+    return convolve1d(out, row, axis=1, mode=BORDER_MODE)
+
+
 # Interpolation kernels: green sits on a quincunx (cross neighbors), red/blue
 # on a rectangular half-grid (side + diagonal neighbors).
 _KERNEL_G = np.array([[0.0, 0.25, 0.0],
@@ -165,11 +217,12 @@ def demosaic_bilinear(bayer: BayerImage) -> LinearRgbImage:
     masks = bayer.cfa.channel_masks(bayer.height, bayer.width)
     planes = []
     for c, kernel in ((_R, _KERNEL_RB), (_G, _KERNEL_G), (_B, _KERNEL_RB)):
-        mask = masks[c].astype(np.float64)
-        num = convolve(data * mask, kernel, mode=BORDER_MODE)
-        den = convolve(mask, kernel, mode=BORDER_MODE)
-        # den > 0 everywhere for a full 2x2-tiled CFA
-        planes.append(np.where(masks[c], data, num / den))
+        # No normalizing denominator: the kernel convolved with the mask is
+        # exactly 1.0 at every interpolated site. Same-colour neighbour
+        # weights sum to 1, and whole-sample mirror borders reflect about a
+        # sample (index -1 -> 1), keeping the CFA parity across the edge.
+        interp = spatial_filter(data * masks[c], kernel)
+        planes.append(np.where(masks[c], data, interp))
     return LinearRgbImage.from_planes(*planes)
 
 

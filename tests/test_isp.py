@@ -11,6 +11,7 @@ from rawbench import (CfaPattern, IspParams, Kernel2D, LinearRgbImage,
                       gain_denoise_sharpen, make_gaussian_kernel,
                       nilut_forward, qal_forward, sog_white_balance)
 from rawbench.errors import ParameterError
+from rawbench import isp
 from rawbench.isp import RAW_PARAM_LEN, default_kernel_size
 from rawbench.rng import RngStream
 
@@ -263,6 +264,41 @@ class TestNilut:
         with pytest.raises(ParameterError):
             NilutWeights(layers=((np.zeros((3, 16)), np.zeros(16)),) * 4)
 
+    def test_blocked_matches_one_shot(self):
+        # 67*67 = 4489 pixels: one full block and a partial one
+        assert (67 * 67) % isp.NILUT_BLOCK_ROWS != 0
+        img = random_rgb(67, 67, seed=13)
+        weights = _random_nilut(8, scale=1.5)
+        got = nilut_forward(img, weights).data
+        assert np.allclose(got, _nilut_one_shot(img, weights),
+                           rtol=0, atol=1e-12)
+
+    def test_many_small_blocks(self, rgb16, monkeypatch):
+        weights = _random_nilut(9, scale=1.5)
+        whole = nilut_forward(rgb16, weights).data
+        monkeypatch.setattr(isp, "NILUT_BLOCK_ROWS", 7)
+        assert np.allclose(nilut_forward(rgb16, weights).data, whole,
+                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bias", [(0.0, 0.0, 0.0), (0.03, -0.2, 0.11)])
+    def test_zero_final_layer_shortcut_is_exact(self, bias):
+        img = random_rgb(67, 67, seed=14)
+        weights = _random_nilut(10, scale=1.5)
+        layers = weights.layers[:-1] + ((np.zeros((32, 3)), np.array(bias)),)
+        weights = NilutWeights(layers=layers)
+        got = nilut_forward(img, weights).data
+        assert np.array_equal(got, _nilut_one_shot(img, weights))
+
+
+def _nilut_one_shot(img, weights):
+    """The unblocked MLP over all pixels at once."""
+    flat = img.data.reshape(-1, 3)
+    h = flat
+    for w, b in weights.layers[:-1]:
+        h = np.tanh(h @ w + b)
+    w_last, b_last = weights.layers[-1]
+    return (flat + (h @ w_last + b_last)).reshape(img.data.shape)
+
 
 def _tiny_qal():
     return QalWeights(
@@ -328,6 +364,40 @@ class TestQalForward:
     def test_empty_features_rejected(self):
         with pytest.raises(ParameterError):
             qal_forward(np.zeros((0, 2)), _tiny_qal())
+
+
+_VALID_PARAMS = dict(g=1.3, r1=2.0, r2=1.5, theta=0.0, sigma=0.35, rho=2.5)
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_kernel_taps(self, bad):
+        taps = np.full((3, 3), 1.0 / 9.0)
+        taps[1, 2] = bad
+        with pytest.raises(ParameterError):
+            Kernel2D(taps)
+
+    @pytest.mark.parametrize("name", sorted(_VALID_PARAMS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_isp_params(self, name, bad):
+        with pytest.raises(ParameterError):
+            IspParams(**{**_VALID_PARAMS, name: bad}, ccm=np.eye(3))
+
+    @pytest.mark.parametrize("layer", [0, 3])
+    def test_nilut_weights(self, layer):
+        layers = list(_random_nilut(4).layers)
+        w, b = layers[layer]
+        w = w.copy()
+        w[0, 0] = math.nan
+        layers[layer] = (w, b)
+        with pytest.raises(ParameterError):
+            NilutWeights(layers=tuple(layers))
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 0.0), (2.0, math.inf, 0.0),
+                                      (2.0, 1.0, math.inf)])
+    def test_gaussian_kernel(self, args):
+        with pytest.raises(ParameterError):
+            make_gaussian_kernel(*args, 5)
 
 
 class TestConstrainParams:

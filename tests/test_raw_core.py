@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.ndimage import convolve
 
 from rawbench import (BayerImage, CfaPattern, LinearRgbImage,
-                      demosaic_bilinear, mosaic, normalize_raw, visualize_raw)
+                      demosaic_bilinear, make_gaussian_kernel, mosaic,
+                      normalize_raw, spatial_filter, visualize_raw)
+from rawbench.corrupt import defocus_psf, motion_blur_psf
 from rawbench.errors import DimensionError, ParameterError
+from rawbench import raw
+from rawbench.raw import _KERNEL_G, _KERNEL_RB, separable_factors
 
 from conftest import constant_bayer, random_bayer, random_rgb
 
@@ -161,6 +166,111 @@ class TestDemosaic:
         rgb = demosaic_bilinear(bay)
         ref = _demosaic_reference(bay.data, cfa)
         assert np.allclose(rgb.data, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("cfa", list(CfaPattern))
+    @pytest.mark.parametrize("shape", [(2, 2), (6, 10)])
+    def test_matches_reference_edge_shapes(self, shape, cfa):
+        # a single tile, and an odd number of tiles across: every site is
+        # a border site or one row/column in from it
+        bay = random_bayer(*shape, seed=9, cfa=cfa)
+        ref = _demosaic_reference(bay.data, cfa)
+        assert np.allclose(demosaic_bilinear(bay).data, ref, atol=1e-12)
+
+
+    @pytest.mark.parametrize("cfa", list(CfaPattern))
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 6), (6, 10), (12, 8)])
+    def test_mirror_borders_keep_the_denominator_at_one(self, shape, cfa):
+        # the normalization demosaic_bilinear leaves out is exactly 1.0
+        # wherever a channel is interpolated, border sites included
+        masks = cfa.channel_masks(*shape)
+        for mask, kernel in zip(masks, (_KERNEL_RB, _KERNEL_G, _KERNEL_RB)):
+            den = convolve(mask.astype(float), kernel, mode="mirror")
+            assert np.all(den[~mask] == 1.0)
+
+
+def _convolve_reference(data, taps):
+    """Per-channel 2-D convolution, independent of the separable path."""
+    if data.ndim == 2:
+        return convolve(data, taps, mode="mirror")
+    return np.stack([convolve(data[..., c], taps, mode="mirror")
+                     for c in range(data.shape[2])], -1)
+
+
+# rank 1 and large enough for the two-pass path
+_SEPARABLE_TAPS = {
+    "gaussian_13": make_gaussian_kernel(3.0, 2.0, 0.0, 13).taps,
+    "gaussian_21": make_gaussian_kernel(1.2, 1.2, 0.0, 21).taps,
+    "box_4x8": np.full((4, 8), 1.0 / 32.0),
+}
+# rank 1 but small: one 2-D pass
+_SMALL_TAPS = {
+    "kernel_rb": _KERNEL_RB,
+    "box_4x2": np.full((4, 2), 1.0 / 8.0),
+    "one_tap": np.ones((1, 1)),
+}
+_DENSE_TAPS = {
+    "rotated_gaussian": make_gaussian_kernel(3.0, 1.0, 0.7, 11).taps,
+    "motion_psf": motion_blur_psf(7.5, 0.6),
+    "defocus_disk": defocus_psf(3.2),
+    "kernel_g": _KERNEL_G,
+}
+
+
+class TestSpatialFilter:
+    @pytest.mark.parametrize("name", sorted({**_SEPARABLE_TAPS, **_SMALL_TAPS,
+                                             **_DENSE_TAPS}))
+    @pytest.mark.parametrize("channels", [None, 3])
+    def test_matches_2d_convolve(self, name, channels):
+        taps = {**_SEPARABLE_TAPS, **_SMALL_TAPS, **_DENSE_TAPS}[name]
+        data = random_rgb(19, 24, seed=11).data
+        if channels is None:
+            data = data[..., 1]
+        got = spatial_filter(data, taps)
+        assert got.shape == data.shape
+        assert np.max(np.abs(got - _convolve_reference(data, taps))) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted({**_SEPARABLE_TAPS, **_SMALL_TAPS}))
+    def test_rank_one_taps_factor(self, name):
+        taps = {**_SEPARABLE_TAPS, **_SMALL_TAPS}[name]
+        column, row = separable_factors(taps)
+        assert np.allclose(np.outer(column, row), taps, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(_SEPARABLE_TAPS))
+    def test_large_rank_one_taps_skip_the_2d_pass(self, name, monkeypatch):
+        def no_2d(*args, **kwargs):
+            raise AssertionError("2-D convolve called")
+        monkeypatch.setattr(raw, "convolve", no_2d)
+        spatial_filter(random_rgb(9, 9, seed=3).data, _SEPARABLE_TAPS[name])
+
+    @pytest.mark.parametrize("name", sorted(_SMALL_TAPS))
+    def test_small_taps_are_bit_exact(self, name):
+        data = random_rgb(11, 8, seed=4).data
+        got = spatial_filter(data, _SMALL_TAPS[name])
+        assert np.array_equal(got, _convolve_reference(data, _SMALL_TAPS[name]))
+
+    @pytest.mark.parametrize("name", sorted(_DENSE_TAPS))
+    def test_other_taps_fall_back_to_2d(self, name):
+        assert separable_factors(_DENSE_TAPS[name]) is None
+
+    def test_all_zero_taps_fall_back_to_2d(self):
+        assert separable_factors(np.zeros((3, 3))) is None
+
+    def test_one_tap_is_exact_copy(self):
+        data = random_rgb(8, 6, seed=2).data
+        assert np.array_equal(spatial_filter(data, np.ones((1, 1))), data)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_taps_rejected(self, bad):
+        taps = np.full((3, 3), 1.0 / 9.0)
+        taps[0, 2] = bad
+        with pytest.raises(ParameterError):
+            spatial_filter(np.zeros((4, 4)), taps)
+
+    def test_rejects_other_ranks(self):
+        with pytest.raises(DimensionError):
+            spatial_filter(np.zeros(5), np.ones((1, 1)))
+        with pytest.raises(ParameterError):
+            spatial_filter(np.zeros((4, 4)), np.ones(3))
 
 
 class TestVisualizeRaw:
