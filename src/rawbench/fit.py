@@ -6,15 +6,44 @@ biases) with the fixed kernel-angle slot excluded: 14 dimensions, mapped
 through constrain_params before every evaluation so only valid parameter
 sets are ever developed. LUT weights stay at identity unless the config
 enables the 3-dim output-bias perturbation.
+
+One LossEvaluator, built once per fit, scores every search vector. It
+computes the same loss as develop_linear followed by image_loss, but
+factors the developed image as
+
+    out = W(r1, r2, sigma, rho) @ (g * CCM) + b_lut
+
+where D1 = gain_denoise_sharpen(base, 1, kernel(r1, r2), sigma) is the
+spatial part at unit gain and W = sog_white_balance(D1, rho). Each step is
+exact in real arithmetic, so the l1 loss differs from develop_linear's by
+rounding alone (a few 1e-16 relative):
+
+- the blur and the sharpen blend are linear, so the gain-g output is g*D1;
+- Shades-of-Gray gains are ratios of power means, which scaling the image
+  by g >= 0 leaves unchanged, so g moves from the image into the matrix;
+- vector_to_params always yields a LUT whose last weight matrix is zero,
+  so nilut_forward adds its last bias b_lut (checked on every evaluation).
+
+The evaluator keeps D1 and W of the best vector so far, which is the
+incumbent both optimizers step from. A candidate that changes only g, the
+CCM or the LUT bias reuses W; one that changes only rho reuses D1 and
+redoes the white balance. For the l2 loss W is kept only as its 3x3
+moments (W'W, W'1, W'T), so a cached evaluation costs O(1) in the image
+size. Expanding the square costs absolute accuracy: the l2 loss carries
+an error of a few ulps of the target's mean square (about 2e-15 on unit
+range images), up to about 1e-12 relative at the losses a fit meets.
 """
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .isp import (IspParams, RAW_PARAM_LEN, THETA_SLOT, constrain_params,
-                  develop_linear)
+                  gain_denoise_sharpen, make_gaussian_kernel,
+                  sog_white_balance)
 from .raw import BayerImage, LinearRgbImage, demosaic_bilinear
 from .rng import RngStream
 
@@ -48,6 +77,16 @@ class FitConfig:
             raise ParameterError("loss must be 'l1' or 'l2'")
         if self.optimizer not in ("coordinate", "evolution"):
             raise ParameterError("optimizer must be 'coordinate' or 'evolution'")
+        for name in ("budget", "population", "seed", "kernel_size"):
+            if not _is_int(getattr(self, name)):
+                raise ParameterError(f"{name} must be an integer")
+        if not isinstance(self.fit_lut, bool):
+            raise ParameterError("fit_lut must be true or false")
+        if not (_is_real(self.init_step) and math.isfinite(self.init_step)
+                and 0.0 < self.init_step <= 1.0):
+            raise ParameterError("init_step must be a finite number in (0, 1]")
+        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
+            raise ParameterError("kernel_size must be odd and >= 1")
         if self.budget < 1:
             raise ParameterError("budget must be >= 1")
         if self.population < 2:
@@ -60,13 +99,27 @@ class FitConfig:
             if self.fit_lut:
                 bounds = bounds + DEFAULT_LUT_BOUNDS
         else:
-            bounds = tuple(tuple(b) for b in self.bounds)
-        arr = np.asarray(bounds, dtype=np.float64)
-        if arr.shape != (dims, 2):
+            bounds = self.bounds
+        try:
+            arr = np.asarray(bounds, dtype=np.float64)
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or arr.shape != (dims, 2):
             raise ParameterError(f"bounds must be {dims} (lo, hi) pairs")
+        if not np.all(np.isfinite(arr)):
+            raise ParameterError("bounds must be finite")
         if np.any(arr[:, 0] >= arr[:, 1]):
             raise ParameterError("infeasible bounds: lo must be below hi")
         return arr
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) \
+        and not isinstance(value, bool)
 
 
 @dataclass
@@ -112,6 +165,88 @@ def vector_to_params(vector: np.ndarray, fit_lut: bool = False) -> IspParams:
                            theta=params.theta, sigma=params.sigma,
                            rho=params.rho, ccm=params.ccm, lut=lut)
     return params
+
+
+class _Incumbent(NamedTuple):
+    spatial_key: tuple      # (r1, r2, theta, sigma)
+    denoised: LinearRgbImage  # D1: the spatial part at unit gain
+    color_key: tuple        # spatial_key + (rho,)
+    basis: object           # LossEvaluator._color_basis of W
+
+
+class LossEvaluator:
+    """image_loss(develop_linear(base, vector_to_params(v)), target) for
+    search vectors v, reusing the spatial part of the best vector so far
+    (see the module docstring). `best` and `best_vector` track the lowest
+    loss seen; a later tie does not replace it."""
+
+    def __init__(self, base: LinearRgbImage, target: LinearRgbImage,
+                 config: FitConfig):
+        if (base.height, base.width) != (target.height, target.width):
+            raise DimensionError("target dimensions do not match the demosaiced raw")
+        self._config = config
+        self.best = np.inf
+        self.best_vector = None
+        self._base = base
+        self._target = target.data.reshape(-1, 3)
+        if config.loss == "l2":
+            self._target_sum = self._target.sum(axis=0)
+            self._target_sq = float(np.sum(self._target * self._target))
+        self._incumbent = None  # the best vector's cached parts
+
+    def __call__(self, vector) -> float:
+        params = vector_to_params(vector, self._config.fit_lut)
+        w_last, b_last = params.lut.layers[-1]
+        assert not np.any(w_last), "a fit LUT must have a zero last layer"
+        spatial_key = (params.r1, params.r2, params.theta, params.sigma)
+        color_key = spatial_key + (params.rho,)
+        held = self._incumbent
+        if held is not None and held.color_key == color_key:
+            d1, basis = held.denoised, held.basis
+        else:
+            if held is not None and held.spatial_key == spatial_key:
+                d1 = held.denoised
+            else:
+                kernel = make_gaussian_kernel(params.r1, params.r2, params.theta,
+                                              self._config.kernel_size)
+                d1 = gain_denoise_sharpen(self._base, 1.0, kernel, params.sigma)
+            balanced, _ = sog_white_balance(d1, params.rho)
+            basis = self._color_basis(balanced.data.reshape(-1, 3))
+        loss = self._loss(basis, params.g * params.ccm, b_last)
+        if not math.isfinite(loss):
+            raise ParameterError("rgb image contains non-finite values")
+        if loss < self.best:
+            self.best = loss
+            self.best_vector = np.asarray(vector, dtype=np.float64).copy()
+            self._incumbent = _Incumbent(spatial_key, d1, color_key, basis)
+        return loss
+
+    def _color_basis(self, balanced: np.ndarray):
+        """What the loss needs of the white-balanced pixels W: W itself for
+        l1, its moments (W'W, W'1, W'T) for l2."""
+        if self._config.loss == "l1":
+            return balanced
+        return (balanced.T @ balanced, balanced.sum(axis=0),
+                balanced.T @ self._target)
+
+    def _loss(self, basis, matrix: np.ndarray, bias: np.ndarray) -> float:
+        if self._config.loss == "l1":
+            out = basis @ matrix
+            out += bias
+            out -= self._target
+            np.abs(out, out=out)
+            return float(np.mean(out))
+        # sum_p |w_p M + b - t_p|^2 expanded over the moments; the terms
+        # cancel to within a few ulps of the target's mean square, so a
+        # near-zero loss can round below 0
+        gram, col_sum, cross = basis
+        total = (np.sum(matrix * (gram @ matrix))
+                 + 2.0 * float(col_sum @ matrix @ bias)
+                 - 2.0 * np.sum(matrix * cross)
+                 - 2.0 * float(bias @ self._target_sum)
+                 + self._target.shape[0] * float(bias @ bias)
+                 + self._target_sq)
+        return max(float(total), 0.0) / self._target.size
 
 
 def _coordinate_search(evaluate, x0, bounds, budget, init_step):
@@ -175,21 +310,13 @@ def fit_isp_params(bayer: BayerImage, target: LinearRgbImage,
                    config: FitConfig):
     """Minimize image_loss(develop(bayer, params), target) over the
     constrained parameter box. Returns (best IspParams, FitTrace)."""
-    base = demosaic_bilinear(bayer)
-    if (base.height, base.width) != (target.height, target.width):
-        raise DimensionError("target dimensions do not match the demosaiced raw")
+    evaluator = LossEvaluator(demosaic_bilinear(bayer), target, config)
     bounds = config.resolved_bounds()
     trace = FitTrace()
-    best_vec = {"v": None, "loss": np.inf}
 
     def evaluate(vector):
-        params = vector_to_params(vector, config.fit_lut)
-        out = develop_linear(base, params, kernel_size=config.kernel_size)
-        loss = image_loss(out, target, config.loss)
+        loss = evaluator(vector)
         trace.record(vector, loss)
-        if loss < best_vec["loss"]:
-            best_vec["loss"] = loss
-            best_vec["v"] = np.asarray(vector, dtype=np.float64).copy()
         return loss
 
     x0 = np.clip(np.zeros(bounds.shape[0]), bounds[:, 0], bounds[:, 1])
@@ -199,7 +326,7 @@ def fit_isp_params(bayer: BayerImage, target: LinearRgbImage,
         rng = RngStream.from_seed(config.seed)
         _evolution_strategy(evaluate, x0, bounds, config.budget,
                             config.init_step, config.population, rng)
-    return vector_to_params(best_vec["v"], config.fit_lut), trace
+    return vector_to_params(evaluator.best_vector, config.fit_lut), trace
 
 
 def finite_difference_sensitivity(bayer: BayerImage, target: LinearRgbImage,
@@ -214,13 +341,7 @@ def finite_difference_sensitivity(bayer: BayerImage, target: LinearRgbImage,
     lo, hi = bounds[index]
     if vector[index] - step < lo or vector[index] + step > hi:
         raise ParameterError("central difference leaves the feasible box")
-    base = demosaic_bilinear(bayer)
-
-    def loss_at(v):
-        params = vector_to_params(v, config.fit_lut)
-        out = develop_linear(base, params, kernel_size=config.kernel_size)
-        return image_loss(out, target, config.loss)
-
+    loss_at = LossEvaluator(demosaic_bilinear(bayer), target, config)
     plus, minus = vector.copy(), vector.copy()
     plus[index] += step
     minus[index] -= step

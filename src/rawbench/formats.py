@@ -440,7 +440,10 @@ def read_fit_config(path) -> FitConfig:
     _check_schema(obj, {"schema_version"}, _FIT_FIELDS, str(path))
     kwargs = {name: obj[name] for name in _FIT_FIELDS & set(obj)}
     if kwargs.get("bounds") is not None:
-        kwargs["bounds"] = tuple(tuple(b) for b in kwargs["bounds"])
+        try:
+            kwargs["bounds"] = tuple(tuple(b) for b in kwargs["bounds"])
+        except TypeError:
+            raise FormatError(E_SCHEMA_VALUE, f"{path}: bounds must be (lo, hi) pairs")
     try:
         config = FitConfig(**kwargs)
         config.resolved_bounds()
