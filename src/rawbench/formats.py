@@ -315,37 +315,51 @@ def read_isp_params(path) -> IspParams:
         raise FormatError(E_SCHEMA_VALUE, f"{path}: {e}")
 
 
-def validate_spec_params(kind: str, params: dict, ctx: str = "spec") -> None:
-    """Range-check parameter overrides against the per-kind defaults table."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _matches_default(value, default) -> bool:
+    """True if an override has the type and shape of a fixed default: an int
+    for an int, a finite real for a float, and element-wise for a matrix."""
+    if isinstance(default, tuple):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(_matches_default(v, d) for v, d in zip(value, default)))
+    if isinstance(default, int):
+        return _is_int(value)
+    return _is_real(value) and math.isfinite(value)
+
+
+def validate_spec_params(kind: str, params, ctx: str = "spec") -> None:
+    """Type- and range-check parameter overrides against the per-kind
+    defaults table."""
+    if not isinstance(params, dict):
+        raise FormatError(E_SCHEMA_VALUE, f"{ctx}: params must be an object")
     table = {entry[0]: entry[1:] for entry in DEFAULT_RANGES[kind]}
     for name, value in params.items():
         if name not in table:
             raise FormatError(E_SCHEMA_FIELD,
                               f"{ctx}: unknown parameter {name!r} for {kind}")
-        rule = table[name]
-        if rule[0] == "uniform":
-            if not (rule[1] <= value <= rule[2]):
+        mode, *rule = table[name]
+        if mode == "fixed":
+            if not _matches_default(value, rule[0]):
                 raise FormatError(
-                    E_RANGE,
-                    f"{ctx}: {kind}.{name}={value} outside [{rule[1]}, {rule[2]}]",
-                )
-        elif rule[0] == "int":
-            if not (isinstance(value, int) and rule[1] <= value <= rule[2]):
-                raise FormatError(
-                    E_RANGE,
-                    f"{ctx}: {kind}.{name}={value} outside [{rule[1]}, {rule[2]}]",
-                )
-        elif rule[0] == "choice":
-            values = rule[1]
-            if not (min(values) <= value <= max(values)):
-                raise FormatError(
-                    E_RANGE,
-                    f"{ctx}: {kind}.{name}={value} outside "
-                    f"[{min(values)}, {max(values)}]",
-                )
-        # fixed entries accept any finite override of the same kind
-        elif isinstance(value, (int, float)) and not math.isfinite(value):
-            raise FormatError(E_SCHEMA_VALUE, f"{ctx}: {kind}.{name} not finite")
+                    E_SCHEMA_VALUE,
+                    f"{ctx}: {kind}.{name} must have the type and shape of "
+                    f"its default {rule[0]!r}, got {value!r}")
+            continue
+        lo, hi = (min(rule[0]), max(rule[0])) if mode == "choice" else rule
+        if not (_is_int(value) if mode == "int" else _is_real(value)):
+            kind_of = "an integer" if mode == "int" else "a number"
+            raise FormatError(E_SCHEMA_VALUE,
+                              f"{ctx}: {kind}.{name} must be {kind_of}, got {value!r}")
+        if not lo <= value <= hi:
+            raise FormatError(E_RANGE,
+                              f"{ctx}: {kind}.{name}={value} outside [{lo}, {hi}]")
 
 
 def write_corruption_spec(spec: CorruptionSpec, path) -> None:
@@ -360,11 +374,9 @@ def read_corruption_spec(path) -> CorruptionSpec:
     kind = obj["kind"]
     if kind not in KINDS:
         raise FormatError(E_SCHEMA_VALUE, f"{path}: unknown kind {kind!r}")
-    if not isinstance(obj["seed"], int):
+    if not _is_int(obj["seed"]):
         raise FormatError(E_SCHEMA_VALUE, f"{path}: seed must be an integer")
     params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise FormatError(E_SCHEMA_VALUE, f"{path}: params must be an object")
     validate_spec_params(kind, params, ctx=str(path))
     return CorruptionSpec(kind=kind, seed=obj["seed"], params=params)
 
@@ -473,12 +485,18 @@ def read_bench_manifest(path):
     obj = _load_json(path)
     _check_schema(obj, {"schema_version", "master_seed", "entries"}, set(),
                   str(path))
+    if not _is_int(obj["master_seed"]):
+        raise FormatError(E_SCHEMA_VALUE, f"{path}: master_seed must be an integer")
     if not isinstance(obj["entries"], list):
         raise FormatError(E_SCHEMA_VALUE, f"{path}: entries must be a list")
     entries, seen = [], set()
     for i, e in enumerate(obj["entries"]):
         ctx = f"{path}: entries[{i}]"
         _check_schema(e, _MANIFEST_ENTRY_FIELDS, {"params"}, ctx)
+        if not isinstance(e["image_id"], str):
+            raise FormatError(E_SCHEMA_VALUE, f"{ctx}: image_id must be a string")
+        if not _is_int(e["seed"]):
+            raise FormatError(E_SCHEMA_VALUE, f"{ctx}: seed must be an integer")
         if e["kind"] not in KINDS:
             raise FormatError(E_SCHEMA_VALUE, f"{ctx}: unknown kind {e['kind']!r}")
         params = e.get("params", {})

@@ -26,10 +26,16 @@ def _mix64(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer on a uint64 array, in place; returns z."""
     # uint64 array ops wrap silently, unlike numpy scalars
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    shifted = np.empty_like(z)
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, np.uint64(shift), out=shifted)
+        z ^= shifted
+        z *= np.uint64(multiplier)
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    return z
 
 
 def derive_key(master_seed: int, stream_index: int = 0) -> int:
@@ -56,14 +62,19 @@ class RngStream:
         return RngStream(key=derive_key(self.key, index))
 
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        z = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
-        state = np.uint64(self.key & _MASK64) + idx * np.uint64(_GOLDEN)
-        return _mix64_array(state)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self.key & _MASK64)
+        return _mix64_array(z)
 
     def uniforms(self, n: int) -> np.ndarray:
         """n float64 values uniform on [0, 1)."""
-        return (self._raw(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        bits = self._raw(n)
+        bits >>= np.uint64(11)
+        u = bits.astype(np.float64)
+        u *= _INV_2_53
+        return u
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return float(lo + (hi - lo) * self.uniforms(1)[0])
@@ -72,12 +83,17 @@ class RngStream:
         """n standard normals via Box-Muller on ordered uniform pairs."""
         m = (n + 1) // 2
         u = self.uniforms(2 * m)
-        u1 = 1.0 - u[0::2]  # (0, 1], safe for log
-        u2 = u[1::2]
-        r = np.sqrt(-2.0 * np.log(u1))
+        r = 1.0 - u[0::2]  # (0, 1], safe for log
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        angle = u[1::2]
+        angle *= 2.0 * np.pi
         out = np.empty(2 * m)
-        out[0::2] = r * np.cos(2.0 * np.pi * u2)
-        out[1::2] = r * np.sin(2.0 * np.pi * u2)
+        np.cos(angle, out=out[0::2])
+        np.sin(angle, out=out[1::2])
+        out[0::2] *= r
+        out[1::2] *= r
         return out[:n]
 
     def normal(self) -> float:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rawbench import cli, formats, isp
+from rawbench import GrayImage, cli, formats, isp
 
 from conftest import random_bayer
 
@@ -69,3 +69,113 @@ def test_invalid_kernel_size_exits_invalid(tmp_path, raw_path):
     code = cli.main(["develop", "--raw", str(raw_path), "--kernel-size", "4",
                      "--out", str(tmp_path / "out.ppm")])
     assert code == cli.EXIT_INVALID
+
+
+def _write_json(path, obj):
+    path.write_text(json.dumps(obj))  # NaN / Infinity as JSON extensions
+    return path
+
+
+def _spec(tmp_path, kind="low_light", seed=3, params=None):
+    return _write_json(tmp_path / "spec.json",
+                       {"schema_version": 1, "kind": kind, "seed": seed,
+                        "params": params or {}})
+
+
+class TestCorruptSpec:
+    @pytest.mark.parametrize("kind, params, code", [
+        ("cmos_damage", {"dead_rows": True}, "E_SCHEMA_VALUE"),
+        ("rain", {"count": 40.0}, "E_SCHEMA_VALUE"),
+        ("cmos_damage", {"dead_rows": 9}, "E_RANGE"),
+        ("low_light", {"l": "x"}, "E_SCHEMA_VALUE"),
+        ("low_light", {"l": True}, "E_SCHEMA_VALUE"),
+        ("low_light", {"l": 0.9}, "E_RANGE"),
+        ("low_light", {"l": float("nan")}, "E_RANGE"),
+        ("fog", {"a": "0.3"}, "E_SCHEMA_VALUE"),
+        ("fog", {"a": [0.3]}, "E_SCHEMA_VALUE"),
+        ("sensor_noise", {"bits": "12"}, "E_SCHEMA_VALUE"),
+        ("sensor_noise", {"bits": 12.0}, "E_SCHEMA_VALUE"),
+        ("sensor_noise", {"delta_r": float("inf")}, "E_SCHEMA_VALUE"),
+        ("sensor_noise", {"delta_r": False}, "E_SCHEMA_VALUE"),
+        ("sensor_matrix_a", {"matrix": "abc"}, "E_SCHEMA_VALUE"),
+        ("sensor_matrix_a", {"matrix": [[1, 0], [0, 1]]}, "E_SCHEMA_VALUE"),
+        ("sensor_matrix_a", {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, "1"]]},
+         "E_SCHEMA_VALUE"),
+        ("sensor_matrix_a", {"matrix": [[1, 0, 0], [0, float("nan"), 0],
+                                        [0, 0, 1]]}, "E_SCHEMA_VALUE"),
+        ("low_light", [0.1], "E_SCHEMA_VALUE"),
+    ])
+    def test_bad_override_is_rejected(self, tmp_path, raw_path, capsys,
+                                      kind, params, code):
+        out = tmp_path / "out.ppm"
+        spec = _spec(tmp_path, kind, params=params)
+        assert cli.main(["corrupt", "--input", str(raw_path), "--spec",
+                         str(spec), "--out", str(out)]) == cli.EXIT_FORMAT
+        assert code in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [True, 1.5, "7", None])
+    def test_non_integer_seed_is_rejected(self, tmp_path, raw_path, capsys,
+                                          seed):
+        out = tmp_path / "out.ppm"
+        assert cli.main(["corrupt", "--input", str(raw_path), "--spec",
+                         str(_spec(tmp_path, seed=seed)), "--out",
+                         str(out)]) == cli.EXIT_FORMAT
+        assert "E_SCHEMA_VALUE" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, params", [
+        ("sensor_matrix_a", {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1.5]]}),
+        ("sensor_noise", {"bits": 10, "delta_r": 0}),
+        ("cmos_damage", {"dead_rows": 2, "hot_value": 1}),
+        ("fog", {"a": 0.45, "beta": 1}),
+    ])
+    def test_well_typed_override_is_applied(self, tmp_path, raw_path, kind,
+                                            params):
+        depth = tmp_path / "depth.pgm"
+        formats.write_gray8(GrayImage(np.full((16, 16), 0.5)), depth)
+        out = tmp_path / "out.ppm"
+        assert cli.main(["corrupt", "--input", str(raw_path), "--spec",
+                         str(_spec(tmp_path, kind, params=params)), "--depth",
+                         str(depth), "--out", str(out)]) == cli.EXIT_OK
+        assert out.exists()
+
+
+class TestBenchManifest:
+    def _manifest(self, tmp_path, master_seed=5, **entry):
+        entry = {"image_id": "scene", "kind": "low_light", "seed": 3,
+                 "params": {}, **entry}
+        return _write_json(tmp_path / "manifest.json",
+                           {"schema_version": 1, "master_seed": master_seed,
+                            "entries": [entry]})
+
+    def _run(self, tmp_path, raw_path, manifest):
+        return cli.main(["bench", "--manifest", str(manifest), "--raw",
+                         str(raw_path), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("master_seed", [True, 2.0, "5", None])
+    def test_non_integer_master_seed_is_rejected(self, tmp_path, raw_path,
+                                                 capsys, master_seed):
+        manifest = self._manifest(tmp_path, master_seed=master_seed)
+        assert self._run(tmp_path, raw_path, manifest) == cli.EXIT_FORMAT
+        assert "E_SCHEMA_VALUE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, code", [
+        ({"seed": True}, "E_SCHEMA_VALUE"),
+        ({"seed": 3.0}, "E_SCHEMA_VALUE"),
+        ({"image_id": ["scene"]}, "E_SCHEMA_VALUE"),
+        ({"params": {"l": "0.2"}}, "E_SCHEMA_VALUE"),
+        ({"params": {"l": 7.0}}, "E_RANGE"),
+        ({"params": "none"}, "E_SCHEMA_VALUE"),
+    ])
+    def test_bad_entry_is_rejected(self, tmp_path, raw_path, capsys, entry,
+                                   code):
+        manifest = self._manifest(tmp_path, **entry)
+        assert self._run(tmp_path, raw_path, manifest) == cli.EXIT_FORMAT
+        assert code in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_written_manifest_runs(self, tmp_path, raw_path):
+        assert self._run(tmp_path, raw_path,
+                         self._manifest(tmp_path)) == cli.EXIT_OK
+        assert len((tmp_path / "out" / "hashes.txt").read_text().split()) == 1

@@ -6,9 +6,9 @@ from scipy.ndimage import convolve
 from rawbench import (BayerImage, CfaPattern, LinearRgbImage,
                       demosaic_bilinear, make_gaussian_kernel, mosaic,
                       normalize_raw, spatial_filter, visualize_raw)
+from rawbench import fit, isp, raw
 from rawbench.corrupt import defocus_psf, motion_blur_psf
 from rawbench.errors import DimensionError, ParameterError
-from rawbench import raw
 from rawbench.raw import _KERNEL_G, _KERNEL_RB, separable_factors
 
 from conftest import constant_bayer, random_bayer, random_rgb
@@ -71,7 +71,12 @@ class TestMosaic:
         with pytest.raises(DimensionError):
             mosaic(LinearRgbImage(np.zeros((3, 4, 3))), CfaPattern.RGGB)
 
-    @given(st.floats(0.0, 1.0, allow_subnormal=False),
+    # c is 0 or at least 4 * tiny: the demosaic kernels scale samples by
+    # 0.25 and 0.5, and for smaller normal c those products are subnormal
+    # and lose low bits (c = 4.1e-308 failed the bit-exact round trip).
+    # normalize_raw makes only 0 or values >= 1/65535, so no real input
+    # is left out.
+    @given(st.one_of(st.just(0.0), st.floats(4 * np.finfo(float).tiny, 1.0)),
            st.sampled_from(list(CfaPattern)))
     def test_round_trip_constant(self, c, cfa):
         rgb = LinearRgbImage(np.full((6, 6, 3), c))
@@ -196,6 +201,12 @@ def _convolve_reference(data, taps):
                      for c in range(data.shape[2])], -1)
 
 
+def _forbid(monkeypatch, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"raw.{name} called")
+    monkeypatch.setattr(raw, name, forbidden)
+
+
 # rank 1 and large enough for the two-pass path
 _SEPARABLE_TAPS = {
     "gaussian_13": make_gaussian_kernel(3.0, 2.0, 0.0, 13).taps,
@@ -237,9 +248,8 @@ class TestSpatialFilter:
 
     @pytest.mark.parametrize("name", sorted(_SEPARABLE_TAPS))
     def test_large_rank_one_taps_skip_the_2d_pass(self, name, monkeypatch):
-        def no_2d(*args, **kwargs):
-            raise AssertionError("2-D convolve called")
-        monkeypatch.setattr(raw, "convolve", no_2d)
+        _forbid(monkeypatch, "convolve")
+        _forbid(monkeypatch, "_fft_filter")
         spatial_filter(random_rgb(9, 9, seed=3).data, _SEPARABLE_TAPS[name])
 
     @pytest.mark.parametrize("name", sorted(_SMALL_TAPS))
@@ -271,6 +281,83 @@ class TestSpatialFilter:
             spatial_filter(np.zeros(5), np.ones((1, 1)))
         with pytest.raises(ParameterError):
             spatial_filter(np.zeros((4, 4)), np.ones(3))
+
+
+def _random_taps(h, w, seed):
+    taps = np.random.default_rng(seed).random((h, w))
+    return taps / taps.sum()
+
+
+# not rank 1, and at least FFT_MIN_TAPS effective taps
+_FFT_TAPS = {
+    "rotated_gaussian_15": make_gaussian_kernel(4.0, 1.5, 0.6, 15).taps,
+    "rotated_gaussian_21": make_gaussian_kernel(5.0, 2.0, 1.1, 21).taps,
+    "defocus_disk_6": defocus_psf(6.0),
+    "random_13x7": _random_taps(13, 7, seed=1),
+    "random_10x8": _random_taps(10, 8, seed=2),
+}
+
+
+class TestFftPath:
+    @pytest.mark.parametrize("name", sorted(_FFT_TAPS))
+    @pytest.mark.parametrize("shape", [(19, 24), (1, 1), (1, 7), (7, 1),
+                                       (2, 2)])
+    @pytest.mark.parametrize("channels", [None, 3])
+    def test_matches_2d_convolve(self, name, shape, channels):
+        # also for images smaller than the kernel, where the mirror padding
+        # reflects more than once
+        taps = _FFT_TAPS[name]
+        data = random_rgb(*shape, seed=17).data
+        if channels is None:
+            data = data[..., 0]
+        got = spatial_filter(data, taps)
+        assert got.shape == data.shape and got.flags.c_contiguous
+        assert np.max(np.abs(got - _convolve_reference(data, taps))) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(_FFT_TAPS))
+    def test_dense_taps_skip_the_direct_pass(self, name, monkeypatch):
+        _forbid(monkeypatch, "convolve")
+        spatial_filter(random_rgb(9, 9, seed=3).data, _FFT_TAPS[name])
+
+    @pytest.mark.parametrize("taps", [motion_blur_psf(18.3, 0.4),
+                                      *_SMALL_TAPS.values()],
+                             ids=["motion_psf_18", *_SMALL_TAPS])
+    def test_sparse_and_small_taps_stay_direct(self, taps, monkeypatch):
+        # the 21x21 motion-blur line has 441 taps but about 40 effective
+        assert np.count_nonzero(np.abs(taps) > raw.EFFECTIVE_TAP) < raw.FFT_MIN_TAPS
+        _forbid(monkeypatch, "_fft_filter")
+        data = random_rgb(12, 10, seed=5).data
+        assert np.array_equal(spatial_filter(data, taps),
+                              _convolve_reference(data, taps))
+
+    def test_taps_below_epsilon_do_not_count(self, monkeypatch):
+        taps = np.full((9, 9), 1e-17)
+        taps[2:7, 2:7] = 0.04 + np.arange(25).reshape(5, 5) * 1e-3
+        _forbid(monkeypatch, "_fft_filter")
+        spatial_filter(random_rgb(12, 10, seed=5).data, taps)
+
+    def test_develop_linear_stays_separable(self, monkeypatch):
+        _forbid(monkeypatch, "_fft_filter")
+        params = isp.IspParams(g=1.2, r1=3.0, r2=2.0, theta=0.0, sigma=0.7,
+                               rho=1.8, ccm=np.eye(3))
+        isp.develop_linear(random_rgb(24, 24, seed=6), params, kernel_size=21)
+
+    @pytest.mark.parametrize("optimizer", ["coordinate", "evolution"])
+    def test_fit_never_uses_the_fft(self, monkeypatch, optimizer):
+        _forbid(monkeypatch, "_fft_filter")
+        config = fit.FitConfig(optimizer=optimizer, budget=20, seed=1)
+        fit.fit_isp_params(random_bayer(16, 16, seed=2),
+                           random_rgb(16, 16, seed=6), config)
+
+    @pytest.mark.parametrize("name", sorted(_FFT_TAPS))
+    def test_zeros_stay_exact_zeros(self, name):
+        out = spatial_filter(np.zeros((20, 17, 3)), _FFT_TAPS[name])
+        assert np.all(out == 0.0)
+
+    @pytest.mark.parametrize("n, expect", [(1, 1), (7, 8), (11, 12), (17, 18),
+                                           (97, 100), (533, 540), (541, 576)])
+    def test_fast_len_is_the_next_5_smooth_length(self, n, expect):
+        assert raw._fast_len(n) == expect
 
 
 class TestVisualizeRaw:
