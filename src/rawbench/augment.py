@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, is_int, is_real
 from .raw import LinearRgbImage, spatial_filter
 from .isp import make_gaussian_kernel
 from .rng import RngStream
@@ -30,10 +30,22 @@ class TruncatedNormal:
     hi: float
 
     def __post_init__(self):
+        if not all(is_real(v) and math.isfinite(v)
+                   for v in (self.mu, self.sigma, self.lo, self.hi)):
+            raise ParameterError("mu, sigma, lo and hi must be finite numbers")
         if self.sigma <= 0:
             raise ParameterError("sigma must be positive")
         if self.lo >= self.hi:
             raise ParameterError("lo must be below hi")
+
+
+_PROBABILITIES = ("prob_original", "prob_brightness", "prob_chroma",
+                  "prob_quality", "brightness_mix", "prob_aniso")
+_INTERVALS = (("chroma_lo", "chroma_hi"), ("iso_width_lo", "iso_width_hi"),
+              ("aniso_angle_lo", "aniso_angle_hi"),
+              ("aniso_major_lo", "aniso_major_hi"),
+              ("aniso_minor_frac_lo", "aniso_minor_frac_hi"))
+_REALS = _PROBABILITIES + sum(_INTERVALS, ()) + ("awgn_sigma_max",)
 
 
 @dataclass(frozen=True)
@@ -61,12 +73,30 @@ class AugmentConfig:
     blur_before_noise: bool = True
 
     def __post_init__(self):
+        if not all(isinstance(tn, TruncatedNormal)
+                   for tn in (self.brightness_dark, self.brightness_bright)):
+            raise ParameterError("brightness components must be truncated normals")
+        for name in _REALS:
+            value = getattr(self, name)
+            if not (is_real(value) and math.isfinite(value)):
+                raise ParameterError(f"{name} must be a finite number")
+            if name in _PROBABILITIES and not 0.0 <= value <= 1.0:
+                raise ParameterError(f"{name} must lie in [0, 1]")
+        for lo, hi in _INTERVALS:
+            if getattr(self, lo) > getattr(self, hi):
+                raise ParameterError(f"{lo} must not exceed {hi}")
+        if self.awgn_sigma_max < 0:
+            raise ParameterError("awgn_sigma_max must be >= 0")
+        if not isinstance(self.blur_before_noise, bool):
+            raise ParameterError("blur_before_noise must be true or false")
+        sizes = self.kernel_sizes
+        if not (isinstance(sizes, tuple) and sizes
+                and all(is_int(s) and s >= 1 and s % 2 for s in sizes)):
+            raise ParameterError("kernel sizes must be odd integers >= 1")
         probs = (self.prob_original + self.prob_brightness
                  + self.prob_chroma + self.prob_quality)
         if abs(probs - 1.0) > 1e-9:
             raise ParameterError("branch probabilities must sum to 1")
-        if any(s % 2 == 0 or s < 1 for s in self.kernel_sizes):
-            raise ParameterError("kernel sizes must be odd and >= 1")
 
 
 BRANCHES = ("original", "brightness", "chroma", "quality")

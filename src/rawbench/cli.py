@@ -9,7 +9,6 @@ Exit codes: 0 success, 2 usage, 3 missing side input, 4 file/schema error,
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -73,14 +72,10 @@ def cmd_develop(args) -> int:
     return EXIT_OK
 
 
-def _spec_for(kind: str, seed: int) -> cor.CorruptionSpec:
-    return cor.CorruptionSpec(kind=kind, seed=seed, params={})
-
-
 def _run_entry(entry_args):
     """One (image_id, spec) job; used by both sweep and bench."""
     image_id, spec, rgb, depth, flare, out_dir = entry_args
-    if depth is None and spec.kind in ("fog", "rain_fog"):
+    if depth is None and cor.REGISTRY[spec.kind].needs_depth:
         depth = cor.procedural_depth(rgb.height, rgb.width, spec.seed)
     result = cor.apply_corruption(spec, rgb, depth=depth, flare=flare)
     out_path = Path(out_dir) / f"{image_id}__{spec.kind}__{spec.seed}.ppm"
@@ -108,7 +103,7 @@ def cmd_corrupt(args) -> int:
     if args.spec:
         spec = fmt.read_corruption_spec(args.spec)
     elif args.kind:
-        spec = _spec_for(args.kind, seed)
+        spec = cor.CorruptionSpec(kind=args.kind, seed=seed)
     else:
         print("corrupt: need --spec or --kind", file=sys.stderr)
         return EXIT_USAGE
@@ -190,8 +185,7 @@ def cmd_report(args) -> int:
     report = met.build_report(records, args.reference)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        json.dumps(fmt.report_to_json(report), indent=2, sort_keys=True) + "\n")
+    fmt.write_json(fmt.report_to_json(report), out_dir / "report.json")
     table = met.format_report_table(report)
     (out_dir / "report.txt").write_text(table)
     print(table, end="")

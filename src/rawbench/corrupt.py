@@ -2,19 +2,27 @@
 Raw-RGB, plus procedural fallbacks for side inputs (depth, flare) and a
 seeded dispatcher.
 
+Each kind is one entry of REGISTRY: its parameters in draw order, the
+function that runs it, whether it needs a depth map or uses a flare layer,
+and, for the two sensor kinds, its variant on the Bayer mosaic. KINDS,
+sampling, dispatch, `corrupt_bayer`, spec-file validation (formats) and the
+CLI's depth fallback all read that table, so adding a kind is one registry
+entry plus one function.
+
 Noise models add zero-mean Gaussians with the stated signal-dependent
-variance (shot + read); the printed literal form that doubles the signal
-mean is available behind `literal_mean` for comparison. Noise draws happen
-even at zero amplitude so composed corruptions replay identical streams.
+variance (shot + read). Noise draws happen even at zero amplitude so
+composed corruptions replay identical streams.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-from .errors import DimensionError, MissingDependencyError, ParameterError
+from .errors import (DimensionError, MissingDependencyError, ParameterError,
+                     is_int, is_real)
 from .raw import BayerImage, LinearRgbImage, spatial_filter
 from .rng import RngStream
 
@@ -44,15 +52,6 @@ class DepthMap:
             raise ParameterError("depth must be >= 0")
 
 
-KINDS = (
-    "low_light", "overexposure", "flare", "low_flare",
-    "fog", "rain", "rain_fog", "snow",
-    "motion_blur", "defocus_blur",
-    "sensor_noise", "cmos_damage", "moire", "vignetting",
-    "chromatic_aberration", "sensor_matrix_a", "sensor_matrix_b",
-)
-
-
 @dataclass(frozen=True)
 class CorruptionSpec:
     """One corruption condition: kind + fixed parameter overrides + seed."""
@@ -79,16 +78,13 @@ def _signal_noise(signal: np.ndarray, noise: NoiseModel, rng: RngStream) -> np.n
 
 
 def corrupt_relight(x: LinearRgbImage, l: float, noise: NoiseModel,
-                    rng: RngStream, literal_mean: bool = False) -> LinearRgbImage:
+                    rng: RngStream) -> LinearRgbImage:
     """Scale by a light factor and add shot/read noise (low-light l<1,
     overexposure l>1). No clamping."""
     if l <= 0:
         raise ParameterError("light factor must be positive")
     signal = l * x.data
-    n = _signal_noise(signal, noise, rng)
-    if literal_mean:
-        n = n + signal
-    return LinearRgbImage(signal + n)
+    return LinearRgbImage(signal + _signal_noise(signal, noise, rng))
 
 
 def corrupt_flare(x: LinearRgbImage, flare: np.ndarray, sigma2_scale: float,
@@ -269,37 +265,45 @@ def corrupt_defocus_blur(x: LinearRgbImage, radius: float) -> LinearRgbImage:
     return LinearRgbImage(spatial_filter(x.data, defocus_psf(radius)))
 
 
-def corrupt_sensor_noise(x: LinearRgbImage, noise: NoiseModel, bits: int,
-                         rng: RngStream, quantize: bool = True,
-                         literal_mean: bool = False) -> LinearRgbImage:
-    """Shot/read noise plus ADC quantization noise, uniform over half an LSB
-    each way: U(-1/2^(bits+1), +1/2^(bits+1))."""
+def _sensor_noise(data: np.ndarray, noise: NoiseModel, bits: int,
+                  rng: RngStream, quantize: bool = True) -> np.ndarray:
+    """Sensor noise on an (H, W) mosaic or an (H, W, 3) image."""
     if bits < 1:
         raise ParameterError("bit depth must be >= 1")
-    n = _signal_noise(x.data, noise, rng)
-    if literal_mean:
-        n = n + x.data
-    out = x.data + n
+    out = data + _signal_noise(data, noise, rng)
     if quantize:
         half_lsb = 1.0 / 2.0 ** (bits + 1)
-        q = (rng.uniforms(x.data.size).reshape(x.data.shape) * 2.0 - 1.0) * half_lsb
+        q = (rng.uniforms(data.size).reshape(data.shape) * 2.0 - 1.0) * half_lsb
         out = out + q
-    return LinearRgbImage(out)
+    return out
+
+
+def corrupt_sensor_noise(x: LinearRgbImage, noise: NoiseModel, bits: int,
+                         rng: RngStream, quantize: bool = True) -> LinearRgbImage:
+    """Shot/read noise plus ADC quantization noise, uniform over half an LSB
+    each way: U(-1/2^(bits+1), +1/2^(bits+1))."""
+    return LinearRgbImage(_sensor_noise(x.data, noise, bits, rng, quantize))
+
+
+def _cmos_damage(data: np.ndarray, dead_rows: int, hot_pixel_rate: float,
+                 hot_value: float, rng: RngStream) -> np.ndarray:
+    """CMOS damage on an (H, W) mosaic or an (H, W, 3) image."""
+    h, w = data.shape[:2]
+    if not 0.0 <= hot_pixel_rate <= 1.0:
+        raise ParameterError("hot pixel rate must lie in [0, 1]")
+    if dead_rows < 0 or dead_rows > h:
+        raise ParameterError("dead row count must lie in [0, height]")
+    out = data.copy()
+    out[rng.choice_distinct(dead_rows, h)] = 0.0
+    out[rng.uniforms(h * w).reshape(h, w) < hot_pixel_rate] = hot_value
+    return out
 
 
 def corrupt_cmos_damage(x: LinearRgbImage, dead_rows: int, hot_pixel_rate: float,
                         hot_value: float, rng: RngStream) -> LinearRgbImage:
     """Dead (zeroed) rows plus a Bernoulli mask of hot pixels."""
-    if not 0.0 <= hot_pixel_rate <= 1.0:
-        raise ParameterError("hot pixel rate must lie in [0, 1]")
-    if dead_rows < 0 or dead_rows > x.height:
-        raise ParameterError("dead row count must lie in [0, height]")
-    out = x.data.copy()
-    rows = rng.choice_distinct(dead_rows, x.height)
-    out[rows, :, :] = 0.0
-    hot = rng.uniforms(x.height * x.width).reshape(x.height, x.width) < hot_pixel_rate
-    out[hot, :] = hot_value
-    return LinearRgbImage(out)
+    return LinearRgbImage(_cmos_damage(x.data, dead_rows, hot_pixel_rate,
+                                       hot_value, rng))
 
 
 def corrupt_moire(x: LinearRgbImage, frequency: float, angle: float,
@@ -413,114 +417,169 @@ def procedural_flare(h: int, w: int, seed: int, peak: float = 0.8,
     return layer
 
 
-# Dispatcher defaults. Entries are either ("uniform", lo, hi), ("int", lo, hi)
-# (inclusive), ("choice", values), or ("fixed", value); sampling order is the
-# listed order so pinning one parameter never shifts the others.
-DEFAULT_RANGES: dict[str, list[tuple]] = {
-    "low_light": [
-        ("l", "uniform", 0.05, 0.4),
-        ("delta_r", "fixed", 0.01),
-        ("delta_s", "fixed", 0.02),
-    ],
-    "overexposure": [
-        ("l", "uniform", 3.5, 5.0),
-        ("delta_r", "fixed", 0.01),
-        ("delta_s", "fixed", 0.02),
-    ],
-    "flare": [
-        ("sigma2_scale", "fixed", 1e-4),
-        ("peak", "uniform", 0.5, 1.0),
-    ],
-    "low_flare": [
-        ("l", "uniform", 0.05, 0.4),
-        ("delta_r", "fixed", 0.01),
-        ("delta_s", "fixed", 0.02),
-        ("peak", "uniform", 0.5, 1.0),
-    ],
-    "fog": [
-        ("a", "choice", (0.3, 0.6, 0.9)),
-        ("beta", "choice", (0.5, 1.0, 2.0)),
-    ],
-    "rain": [
-        ("count", "int", 30, 60),
-        ("length", "uniform", 15.0, 35.0),
-        ("angle", "uniform", math.pi / 2 - 0.35, math.pi / 2 + 0.35),
-        ("width", "uniform", 1.0, 2.0),
-        ("intensity", "uniform", 0.2, 0.5),
-    ],
-    "rain_fog": [
-        ("count", "int", 30, 60),
-        ("length", "uniform", 15.0, 35.0),
-        ("angle", "uniform", math.pi / 2 - 0.35, math.pi / 2 + 0.35),
-        ("width", "uniform", 1.0, 2.0),
-        ("intensity", "uniform", 0.2, 0.5),
-        ("a", "choice", (0.3, 0.6, 0.9)),
-        ("beta", "choice", (0.5, 1.0, 2.0)),
-    ],
-    "snow": [
-        ("coverage", "uniform", 0.25, 0.55),
-        ("flake_value", "uniform", 0.7, 1.0),
-        ("cell", "int", 8, 16),
-        ("flake_count", "int", 40, 90),
-    ],
-    "motion_blur": [
-        ("length", "uniform", 7.0, 21.0),
-        ("angle", "uniform", 0.0, math.pi),
-    ],
-    "defocus_blur": [
-        ("radius", "uniform", 2.0, 6.0),
-    ],
-    "sensor_noise": [
-        ("delta_r", "fixed", 0.01),
-        ("delta_s", "fixed", 0.02),
-        ("bits", "fixed", 12),
-    ],
-    "cmos_damage": [
-        ("dead_rows", "int", 1, 4),
-        ("hot_pixel_rate", "uniform", 0.001, 0.01),
-        ("hot_value", "fixed", 1.0),
-    ],
-    "moire": [
-        ("frequency", "uniform", 0.05, 0.25),
-        ("angle", "uniform", 0.0, math.pi),
-        ("alpha", "uniform", 0.2, 0.6),
-    ],
-    "vignetting": [
-        ("strength", "uniform", 0.4, 0.9),
-        ("sigma_frac", "uniform", 0.3, 0.6),
-    ],
-    "chromatic_aberration": [
-        ("k1_r", "uniform", 0.01, 0.05),
-        ("k1_g", "fixed", 0.0),
-        ("k1_b", "uniform", -0.05, -0.01),
-    ],
-    "sensor_matrix_a": [
-        ("matrix", "fixed", ((1.08, 0.03, -0.02),
-                             (0.02, 0.97, 0.04),
-                             (-0.01, 0.05, 0.92))),
-    ],
-    "sensor_matrix_b": [
-        ("matrix", "fixed", ((0.91, -0.02, 0.05),
-                             (0.04, 1.05, -0.03),
-                             (0.03, 0.02, 1.10))),
-    ],
+def _like(value, default) -> bool:
+    """True if an override has the type and shape of a fixed default: an int
+    for an int, a finite real for a float, and element-wise for a matrix."""
+    if isinstance(default, tuple):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(_like(v, d) for v, d in zip(value, default)))
+    if isinstance(default, int):
+        return is_int(value)
+    return is_real(value) and math.isfinite(value)
+
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter of a kind, drawn from `rule` by `mode`: "uniform" on
+    (lo, hi), "int" on (lo, hi) inclusive, "choice" among a tuple of values,
+    or "fixed" at the value `rule` itself."""
+
+    name: str
+    mode: str
+    rule: object
+
+    def sample(self, rng: RngStream):
+        if self.mode == "uniform":
+            return rng.uniform(*self.rule)
+        if self.mode == "int":
+            lo, hi = self.rule
+            return lo + int(rng.integers(1, hi - lo + 1)[0])
+        if self.mode == "choice":
+            return self.rule[int(rng.integers(1, len(self.rule))[0])]
+        return self.rule
+
+    def problem(self, value) -> tuple[str, str] | None:
+        """Why `value` may not override this parameter in a spec file, as
+        ("type" or "range", reason), or None if it may."""
+        if self.mode == "fixed":
+            if _like(value, self.rule):
+                return None
+            return "type", (f"{self.name} must have the type and shape of "
+                            f"its default {self.rule!r}, got {value!r}")
+        if not (is_int(value) if self.mode == "int" else is_real(value)):
+            what = "an integer" if self.mode == "int" else "a number"
+            return "type", f"{self.name} must be {what}, got {value!r}"
+        lo, hi = ((min(self.rule), max(self.rule)) if self.mode == "choice"
+                  else self.rule)
+        if not lo <= value <= hi:
+            return "range", f"{self.name}={value} outside [{lo}, {hi}]"
+        return None
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One corruption kind. `run(x, p, rng, depth, flare)` applies it with
+    the sampled parameters p and the stream rng that drew them; `mosaic(data,
+    p, rng)`, where set, applies it to a Bayer mosaic's data."""
+
+    params: tuple
+    run: Callable
+    needs_depth: bool = False
+    uses_flare: bool = False
+    mosaic: Callable | None = None
+
+
+def _noise(p: dict) -> NoiseModel:
+    return NoiseModel(p["delta_r"], p["delta_s"])
+
+
+def _relight(x, p, rng, depth, flare):
+    return corrupt_relight(x, p["l"], _noise(p), rng)
+
+
+def _sensor_matrix(x, p, rng, depth, flare):
+    return apply_sensor_matrix(x, p["matrix"])
+
+
+_NOISE = (Param("delta_r", "fixed", 0.01), Param("delta_s", "fixed", 0.02))
+_DIM = Param("l", "uniform", (0.05, 0.4))
+_PEAK = Param("peak", "uniform", (0.5, 1.0))
+_ANGLE = Param("angle", "uniform", (0.0, math.pi))
+_RAIN = (
+    Param("count", "int", (30, 60)),
+    Param("length", "uniform", (15.0, 35.0)),
+    Param("angle", "uniform", (math.pi / 2 - 0.35, math.pi / 2 + 0.35)),
+    Param("width", "uniform", (1.0, 2.0)),
+    Param("intensity", "uniform", (0.2, 0.5)),
+)
+_FOG = (Param("a", "choice", (0.3, 0.6, 0.9)),
+        Param("beta", "choice", (0.5, 1.0, 2.0)))
+
+# Parameters are drawn in the listed order, so pinning one never shifts the
+# others. Where a kind's parameter names are its function's argument names,
+# its run passes them as keywords. Runs look the corrupt_* functions up by
+# name at call time, so a wrapper rebound on this module (a tracer, a test
+# double) is what runs.
+REGISTRY: dict[str, Kind] = {
+    "low_light": Kind((_DIM,) + _NOISE, _relight),
+    "overexposure": Kind((Param("l", "uniform", (3.5, 5.0)),) + _NOISE, _relight),
+    "flare": Kind(
+        (Param("sigma2_scale", "fixed", 1e-4), _PEAK),
+        lambda x, p, rng, depth, flare: corrupt_flare(x, flare, p["sigma2_scale"], rng),
+        uses_flare=True),
+    "low_flare": Kind(
+        (_DIM,) + _NOISE + (_PEAK,),
+        lambda x, p, rng, depth, flare: corrupt_low_flare(x, p["l"], flare,
+                                                          _noise(p), rng),
+        uses_flare=True),
+    "fog": Kind(_FOG, lambda x, p, rng, depth, flare: corrupt_fog(x, depth, **p),
+                needs_depth=True),
+    "rain": Kind(_RAIN, lambda x, p, rng, *_: corrupt_rain(x, rng=rng, **p)),
+    "rain_fog": Kind(
+        _RAIN + _FOG,
+        lambda x, p, rng, depth, flare: corrupt_rain_fog(x, depth=depth, rng=rng, **p),
+        needs_depth=True),
+    "snow": Kind(
+        (Param("coverage", "uniform", (0.25, 0.55)),
+         Param("flake_value", "uniform", (0.7, 1.0)),
+         Param("cell", "int", (8, 16)),
+         Param("flake_count", "int", (40, 90))),
+        lambda x, p, rng, *_: corrupt_snow(
+            x, snow_mask(x.height, x.width, rng, cell=p["cell"],
+                         coverage=p["coverage"], flake_count=p["flake_count"]),
+            p["flake_value"])),
+    "motion_blur": Kind((Param("length", "uniform", (7.0, 21.0)), _ANGLE),
+                        lambda x, p, *_: corrupt_motion_blur(x, **p)),
+    "defocus_blur": Kind((Param("radius", "uniform", (2.0, 6.0)),),
+                         lambda x, p, *_: corrupt_defocus_blur(x, **p)),
+    "sensor_noise": Kind(
+        _NOISE + (Param("bits", "fixed", 12),),
+        lambda x, p, rng, *_: corrupt_sensor_noise(x, _noise(p), p["bits"], rng),
+        mosaic=lambda data, p, rng: _sensor_noise(data, _noise(p), p["bits"], rng)),
+    "cmos_damage": Kind(
+        (Param("dead_rows", "int", (1, 4)),
+         Param("hot_pixel_rate", "uniform", (0.001, 0.01)),
+         Param("hot_value", "fixed", 1.0)),
+        lambda x, p, rng, *_: corrupt_cmos_damage(x, rng=rng, **p),
+        mosaic=lambda data, p, rng: _cmos_damage(data, rng=rng, **p)),
+    "moire": Kind((Param("frequency", "uniform", (0.05, 0.25)), _ANGLE,
+                   Param("alpha", "uniform", (0.2, 0.6))),
+                  lambda x, p, *_: corrupt_moire(x, **p)),
+    "vignetting": Kind((Param("strength", "uniform", (0.4, 0.9)),
+                        Param("sigma_frac", "uniform", (0.3, 0.6))),
+                       lambda x, p, *_: corrupt_vignetting(x, **p)),
+    "chromatic_aberration": Kind(
+        (Param("k1_r", "uniform", (0.01, 0.05)), Param("k1_g", "fixed", 0.0),
+         Param("k1_b", "uniform", (-0.05, -0.01))),
+        lambda x, p, *_: corrupt_chromatic_aberration(x, **p)),
+    "sensor_matrix_a": Kind(
+        (Param("matrix", "fixed", ((1.08, 0.03, -0.02),
+                                   (0.02, 0.97, 0.04),
+                                   (-0.01, 0.05, 0.92))),),
+        _sensor_matrix),
+    "sensor_matrix_b": Kind(
+        (Param("matrix", "fixed", ((0.91, -0.02, 0.05),
+                                   (0.04, 1.05, -0.03),
+                                   (0.03, 0.02, 1.10))),),
+        _sensor_matrix),
 }
+
+KINDS = tuple(REGISTRY)
 
 
 def sample_params(spec: CorruptionSpec, rng: RngStream) -> dict:
-    """Draw every samplable parameter in fixed order, then apply overrides."""
-    out = {}
-    for entry in DEFAULT_RANGES[spec.kind]:
-        name, mode = entry[0], entry[1]
-        if mode == "uniform":
-            out[name] = rng.uniform(entry[2], entry[3])
-        elif mode == "int":
-            out[name] = int(entry[2]) + int(rng.integers(1, entry[3] - entry[2] + 1)[0])
-        elif mode == "choice":
-            values = entry[2]
-            out[name] = values[int(rng.integers(1, len(values))[0])]
-        else:
-            out[name] = entry[2]
+    """Draw every parameter of the kind in table order, then apply overrides."""
+    out = {param.name: param.sample(rng) for param in REGISTRY[spec.kind].params}
     unknown = set(spec.params) - set(out)
     if unknown:
         raise ParameterError(
@@ -535,81 +594,26 @@ def apply_corruption(spec: CorruptionSpec, x: LinearRgbImage,
                      flare: np.ndarray | None = None) -> LinearRgbImage:
     """Dispatch one corruption with parameters drawn from spec.seed.
 
-    Fog and rain&fog require a depth map; flare kinds fall back to a
-    procedural flare layer when no asset is supplied.
+    Kinds that need a depth map raise MissingDependencyError without one;
+    kinds that use a flare layer fall back to a procedural one when no
+    asset is supplied.
     """
+    kind = REGISTRY[spec.kind]
     rng = RngStream.from_seed(spec.seed)
     p = sample_params(spec, rng)
-    kind = spec.kind
-    if kind in ("low_light", "overexposure"):
-        noise = NoiseModel(p["delta_r"], p["delta_s"])
-        return corrupt_relight(x, p["l"], noise, rng)
-    if kind == "flare":
-        layer = flare if flare is not None else procedural_flare(
-            x.height, x.width, spec.seed, peak=p["peak"])
-        return corrupt_flare(x, layer, p["sigma2_scale"], rng)
-    if kind == "low_flare":
-        layer = flare if flare is not None else procedural_flare(
-            x.height, x.width, spec.seed, peak=p["peak"])
-        noise = NoiseModel(p["delta_r"], p["delta_s"])
-        return corrupt_low_flare(x, p["l"], layer, noise, rng)
-    if kind == "fog":
-        if depth is None:
-            raise MissingDependencyError("depth")
-        return corrupt_fog(x, depth, p["a"], p["beta"])
-    if kind == "rain":
-        return corrupt_rain(x, p["count"], p["length"], p["angle"], p["width"],
-                            p["intensity"], rng)
-    if kind == "rain_fog":
-        if depth is None:
-            raise MissingDependencyError("depth")
-        return corrupt_rain_fog(x, p["count"], p["length"], p["angle"],
-                                p["width"], p["intensity"], depth, p["a"],
-                                p["beta"], rng)
-    if kind == "snow":
-        mask = snow_mask(x.height, x.width, rng, cell=p["cell"],
-                         coverage=p["coverage"], flake_count=p["flake_count"])
-        return corrupt_snow(x, mask, p["flake_value"])
-    if kind == "motion_blur":
-        return corrupt_motion_blur(x, p["length"], p["angle"])
-    if kind == "defocus_blur":
-        return corrupt_defocus_blur(x, p["radius"])
-    if kind == "sensor_noise":
-        noise = NoiseModel(p["delta_r"], p["delta_s"])
-        return corrupt_sensor_noise(x, noise, p["bits"], rng)
-    if kind == "cmos_damage":
-        return corrupt_cmos_damage(x, p["dead_rows"], p["hot_pixel_rate"],
-                                   p["hot_value"], rng)
-    if kind == "moire":
-        return corrupt_moire(x, p["frequency"], p["angle"], p["alpha"])
-    if kind == "vignetting":
-        return corrupt_vignetting(x, p["strength"], p["sigma_frac"])
-    if kind == "chromatic_aberration":
-        return corrupt_chromatic_aberration(x, p["k1_r"], p["k1_g"], p["k1_b"])
-    # sensor_matrix_a / sensor_matrix_b
-    return apply_sensor_matrix(x, np.array(p["matrix"], dtype=np.float64))
+    if kind.needs_depth and depth is None:
+        raise MissingDependencyError("depth")
+    if kind.uses_flare and flare is None:
+        flare = procedural_flare(x.height, x.width, spec.seed, peak=p["peak"])
+    return kind.run(x, p, rng, depth, flare)
 
 
 def corrupt_bayer(spec: CorruptionSpec, bayer: BayerImage) -> BayerImage:
-    """Pre-demosaic wrapper: sensor_noise and cmos_damage on the mosaic."""
-    if spec.kind not in ("sensor_noise", "cmos_damage"):
-        raise ParameterError("only sensor_noise and cmos_damage run on the mosaic")
+    """Pre-demosaic wrapper for the kinds with a mosaic variant."""
+    mosaic = REGISTRY[spec.kind].mosaic
+    if mosaic is None:
+        names = " and ".join(k for k, kind in REGISTRY.items() if kind.mosaic)
+        raise ParameterError(f"only {names} run on the mosaic")
     rng = RngStream.from_seed(spec.seed)
     p = sample_params(spec, rng)
-    data = bayer.data
-    if spec.kind == "sensor_noise":
-        noise = NoiseModel(p["delta_r"], p["delta_s"])
-        z = rng.normals(data.size).reshape(data.shape)
-        var = noise.delta_r**2 + noise.delta_s * np.clip(data, 0.0, None)
-        out = data + np.sqrt(var) * z
-        half_lsb = 1.0 / 2.0 ** (p["bits"] + 1)
-        out = out + (rng.uniforms(data.size).reshape(data.shape) * 2 - 1) * half_lsb
-    else:
-        out = data.copy()
-        rows = rng.choice_distinct(p["dead_rows"], bayer.height)
-        out[rows, :] = 0.0
-        hot = rng.uniforms(data.size).reshape(data.shape) < p["hot_pixel_rate"]
-        out[hot] = p["hot_value"]
-    return BayerImage(data=np.clip(out, 0.0, 1.0), cfa=bayer.cfa,
-                      bit_depth=bayer.bit_depth, black_level=bayer.black_level,
-                      white_level=bayer.white_level)
+    return replace(bayer, data=np.clip(mosaic(bayer.data, p, rng), 0.0, 1.0))

@@ -1,4 +1,18 @@
-"""Shared exception types. The CLI maps these onto distinct exit codes."""
+"""Shared exception types, which the CLI maps onto distinct exit codes, and
+the type predicates the checks that raise them use."""
+
+import numpy as np
+
+
+def is_int(value) -> bool:
+    """An integer, numpy integers included; bools are not integers here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number (int or float, numpy scalars included), not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) \
+        and not isinstance(value, bool)
 
 
 class RawBenchError(Exception):

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, is_int, is_real
 from .isp import (IspParams, RAW_PARAM_LEN, THETA_SLOT, constrain_params,
                   gain_denoise_sharpen, make_gaussian_kernel,
                   sog_white_balance)
@@ -78,11 +78,11 @@ class FitConfig:
         if self.optimizer not in ("coordinate", "evolution"):
             raise ParameterError("optimizer must be 'coordinate' or 'evolution'")
         for name in ("budget", "population", "seed", "kernel_size"):
-            if not _is_int(getattr(self, name)):
+            if not is_int(getattr(self, name)):
                 raise ParameterError(f"{name} must be an integer")
         if not isinstance(self.fit_lut, bool):
             raise ParameterError("fit_lut must be true or false")
-        if not (_is_real(self.init_step) and math.isfinite(self.init_step)
+        if not (is_real(self.init_step) and math.isfinite(self.init_step)
                 and 0.0 < self.init_step <= 1.0):
             raise ParameterError("init_step must be a finite number in (0, 1]")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
@@ -111,15 +111,6 @@ class FitConfig:
         if np.any(arr[:, 0] >= arr[:, 1]):
             raise ParameterError("infeasible bounds: lo must be below hi")
         return arr
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) \
-        and not isinstance(value, bool)
 
 
 @dataclass

@@ -8,15 +8,15 @@ Wherever a float meets an integer code the rounding is half away from zero.
 
 import csv
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
-from .raw import BayerImage, CfaPattern, GrayImage, LinearRgbImage
+from .errors import FormatError, ParameterError, is_int
+from .raw import (BayerImage, CfaPattern, GrayImage, LinearRgbImage,
+                  normalize_raw)
 from .isp import (IspParams, NILUT_LAYER_DIMS, NilutWeights, encode_display)
-from .corrupt import DEFAULT_RANGES, KINDS, CorruptionSpec
+from .corrupt import KINDS, REGISTRY, CorruptionSpec, DepthMap
 from .augment import AugmentConfig, TruncatedNormal
 from .fit import FitConfig, FitTrace
 from .metrics import EvalRecord, RobustnessReport, normalize_score
@@ -95,11 +95,6 @@ _SIDECAR_FIELDS = ("schema_version", "cfa", "bit_depth", "black_level",
 
 def read_raw(pgm_path, sidecar_path=None) -> BayerImage:
     """Load and normalize a RAW container (P5 maxval 65535 + JSON sidecar)."""
-    bayer, _ = read_raw_with_meta(pgm_path, sidecar_path)
-    return bayer
-
-
-def read_raw_with_meta(pgm_path, sidecar_path=None):
     sidecar_path = Path(sidecar_path) if sidecar_path else _sidecar_path(pgm_path)
     width, height, maxval, payload = _read_pnm(pgm_path, "P5")
     if maxval != 65535:
@@ -138,11 +133,7 @@ def read_raw_with_meta(pgm_path, sidecar_path=None):
     if codes.max() > 2**bit_depth - 1:
         raise FormatError(E_CODE_RANGE,
                           f"{pgm_path}: codes exceed 2^bit_depth - 1")
-    data = (codes.astype(np.float64) - black) / float(white - black)
-    np.clip(data, 0.0, 1.0, out=data)
-    bayer = BayerImage(data=data, cfa=cfa, bit_depth=bit_depth,
-                       black_level=black, white_level=white)
-    return bayer, sidecar
+    return normalize_raw(codes, black, white, bit_depth, cfa)
 
 
 def write_raw(bayer: BayerImage, pgm_path, sidecar_path=None,
@@ -162,7 +153,7 @@ def write_raw(bayer: BayerImage, pgm_path, sidecar_path=None,
         "white_level": bayer.white_level,
         "sensor_name": sensor_name,
     }
-    sidecar_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_json(sidecar, sidecar_path)
 
 
 def write_rgb(img: LinearRgbImage, path, mode: str = "linear16_ppm",
@@ -215,8 +206,6 @@ def _read_pnm_any_depth(path, magic, planes):
 
 def read_depth(path):
     """Relative depth from a bare P5 (maxval 255 or 65535), scaled to [0, 1]."""
-    from .corrupt import DepthMap
-
     return DepthMap(_read_pnm_any_depth(path, "P5", 1))
 
 
@@ -229,6 +218,11 @@ def read_asset(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- JSON layer
+
+def write_json(obj, path) -> None:
+    """Indented, key-sorted JSON with a trailing newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
 
 def _load_json(path):
     try:
@@ -290,14 +284,13 @@ _PARAM_FIELDS = {"schema_version", "g", "r1", "r2", "theta", "sigma", "rho",
 
 
 def write_isp_params(params: IspParams, path) -> None:
-    obj = {
+    write_json({
         "schema_version": SCHEMA_VERSION,
         "g": params.g, "r1": params.r1, "r2": params.r2,
         "theta": params.theta, "sigma": params.sigma, "rho": params.rho,
         "ccm": params.ccm.tolist(),
         "lut": nilut_to_json(params.lut),
-    }
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    }, path)
 
 
 def read_isp_params(path) -> IspParams:
@@ -315,70 +308,44 @@ def read_isp_params(path) -> IspParams:
         raise FormatError(E_SCHEMA_VALUE, f"{path}: {e}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _matches_default(value, default) -> bool:
-    """True if an override has the type and shape of a fixed default: an int
-    for an int, a finite real for a float, and element-wise for a matrix."""
-    if isinstance(default, tuple):
-        return (isinstance(value, list) and len(value) == len(default)
-                and all(_matches_default(v, d) for v, d in zip(value, default)))
-    if isinstance(default, int):
-        return _is_int(value)
-    return _is_real(value) and math.isfinite(value)
-
-
 def validate_spec_params(kind: str, params, ctx: str = "spec") -> None:
-    """Type- and range-check parameter overrides against the per-kind
-    defaults table."""
+    """Type- and range-check parameter overrides against the kind's
+    registry entry: a type problem is E_SCHEMA_VALUE, a range one E_RANGE."""
     if not isinstance(params, dict):
         raise FormatError(E_SCHEMA_VALUE, f"{ctx}: params must be an object")
-    table = {entry[0]: entry[1:] for entry in DEFAULT_RANGES[kind]}
+    table = {param.name: param for param in REGISTRY[kind].params}
     for name, value in params.items():
         if name not in table:
             raise FormatError(E_SCHEMA_FIELD,
                               f"{ctx}: unknown parameter {name!r} for {kind}")
-        mode, *rule = table[name]
-        if mode == "fixed":
-            if not _matches_default(value, rule[0]):
-                raise FormatError(
-                    E_SCHEMA_VALUE,
-                    f"{ctx}: {kind}.{name} must have the type and shape of "
-                    f"its default {rule[0]!r}, got {value!r}")
-            continue
-        lo, hi = (min(rule[0]), max(rule[0])) if mode == "choice" else rule
-        if not (_is_int(value) if mode == "int" else _is_real(value)):
-            kind_of = "an integer" if mode == "int" else "a number"
-            raise FormatError(E_SCHEMA_VALUE,
-                              f"{ctx}: {kind}.{name} must be {kind_of}, got {value!r}")
-        if not lo <= value <= hi:
-            raise FormatError(E_RANGE,
-                              f"{ctx}: {kind}.{name}={value} outside [{lo}, {hi}]")
+        problem = table[name].problem(value)
+        if problem is not None:
+            what, reason = problem
+            raise FormatError(E_RANGE if what == "range" else E_SCHEMA_VALUE,
+                              f"{ctx}: {kind}.{reason}")
 
 
 def write_corruption_spec(spec: CorruptionSpec, path) -> None:
-    obj = {"schema_version": SCHEMA_VERSION, "kind": spec.kind,
-           "seed": spec.seed, "params": dict(spec.params)}
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_json({"schema_version": SCHEMA_VERSION, "kind": spec.kind,
+                "seed": spec.seed, "params": dict(spec.params)}, path)
+
+
+def _spec_from_json(obj, ctx: str) -> CorruptionSpec:
+    """The kind, seed and params of a spec file or manifest entry."""
+    kind = obj["kind"]
+    if kind not in KINDS:
+        raise FormatError(E_SCHEMA_VALUE, f"{ctx}: unknown kind {kind!r}")
+    if not is_int(obj["seed"]):
+        raise FormatError(E_SCHEMA_VALUE, f"{ctx}: seed must be an integer")
+    params = obj.get("params", {})
+    validate_spec_params(kind, params, ctx=ctx)
+    return CorruptionSpec(kind=kind, seed=obj["seed"], params=params)
 
 
 def read_corruption_spec(path) -> CorruptionSpec:
     obj = _load_json(path)
     _check_schema(obj, {"schema_version", "kind", "seed"}, {"params"}, str(path))
-    kind = obj["kind"]
-    if kind not in KINDS:
-        raise FormatError(E_SCHEMA_VALUE, f"{path}: unknown kind {kind!r}")
-    if not _is_int(obj["seed"]):
-        raise FormatError(E_SCHEMA_VALUE, f"{path}: seed must be an integer")
-    params = obj.get("params", {})
-    validate_spec_params(kind, params, ctx=str(path))
-    return CorruptionSpec(kind=kind, seed=obj["seed"], params=params)
+    return _spec_from_json(obj, str(path))
 
 
 _TN_FIELDS = {"mu", "sigma", "lo", "hi"}
@@ -413,7 +380,7 @@ def write_augment_config(config: AugmentConfig, path) -> None:
         elif isinstance(value, tuple):
             value = list(value)
         obj[name] = value
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_json(obj, path)
 
 
 def read_augment_config(path) -> AugmentConfig:
@@ -424,7 +391,7 @@ def read_augment_config(path) -> AugmentConfig:
         value = obj[name]
         if name in ("brightness_dark", "brightness_bright"):
             value = _tn_from_json(value, f"{path}: {name}")
-        elif name == "kernel_sizes":
+        elif name == "kernel_sizes" and isinstance(value, list):
             value = tuple(value)
         kwargs[name] = value
     try:
@@ -444,7 +411,7 @@ def write_fit_config(config: FitConfig, path) -> None:
         if name == "bounds" and value is not None:
             value = [list(b) for b in value]
         obj[name] = value
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_json(obj, path)
 
 
 def read_fit_config(path) -> FitConfig:
@@ -468,7 +435,7 @@ _MANIFEST_ENTRY_FIELDS = {"image_id", "kind", "seed"}
 
 
 def write_bench_manifest(master_seed: int, entries, path) -> None:
-    obj = {
+    write_json({
         "schema_version": SCHEMA_VERSION,
         "master_seed": master_seed,
         "entries": [
@@ -476,8 +443,7 @@ def write_bench_manifest(master_seed: int, entries, path) -> None:
              "params": dict(spec.params)}
             for image_id, spec in entries
         ],
-    }
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    }, path)
 
 
 def read_bench_manifest(path):
@@ -485,7 +451,7 @@ def read_bench_manifest(path):
     obj = _load_json(path)
     _check_schema(obj, {"schema_version", "master_seed", "entries"}, set(),
                   str(path))
-    if not _is_int(obj["master_seed"]):
+    if not is_int(obj["master_seed"]):
         raise FormatError(E_SCHEMA_VALUE, f"{path}: master_seed must be an integer")
     if not isinstance(obj["entries"], list):
         raise FormatError(E_SCHEMA_VALUE, f"{path}: entries must be a list")
@@ -495,20 +461,13 @@ def read_bench_manifest(path):
         _check_schema(e, _MANIFEST_ENTRY_FIELDS, {"params"}, ctx)
         if not isinstance(e["image_id"], str):
             raise FormatError(E_SCHEMA_VALUE, f"{ctx}: image_id must be a string")
-        if not _is_int(e["seed"]):
-            raise FormatError(E_SCHEMA_VALUE, f"{ctx}: seed must be an integer")
-        if e["kind"] not in KINDS:
-            raise FormatError(E_SCHEMA_VALUE, f"{ctx}: unknown kind {e['kind']!r}")
-        params = e.get("params", {})
-        validate_spec_params(e["kind"], params, ctx=ctx)
-        key = (e["image_id"], e["kind"], e["seed"])
+        spec = _spec_from_json(e, ctx)
+        key = (e["image_id"], spec.kind, spec.seed)
         if key in seen:
             raise FormatError(E_SCHEMA_VALUE,
                               f"{ctx}: duplicate image id for (kind, seed) {key}")
         seen.add(key)
-        entries.append((e["image_id"],
-                        CorruptionSpec(kind=e["kind"], seed=e["seed"],
-                                       params=params)))
+        entries.append((e["image_id"], spec))
     return obj["master_seed"], entries
 
 

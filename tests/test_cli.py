@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rawbench import GrayImage, cli, formats, isp
+from rawbench import augment as aug
 
 from conftest import random_bayer
 
@@ -179,3 +180,42 @@ class TestBenchManifest:
         assert self._run(tmp_path, raw_path,
                          self._manifest(tmp_path)) == cli.EXIT_OK
         assert len((tmp_path / "out" / "hashes.txt").read_text().split()) == 1
+
+
+class TestAugmentConfig:
+    def _run(self, tmp_path, raw_path, config):
+        return cli.main(["augment", "--input", str(raw_path),
+                         "--augment-config", str(config), "--n", "8",
+                         "--seed", "3", "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("fields", [
+        {"kernel_sizes": "7"},
+        {"kernel_sizes": 7},
+        {"kernel_sizes": []},
+        {"kernel_sizes": [7.5]},
+        {"kernel_sizes": [7, True]},
+        {"prob_original": "0.25"},
+        {"prob_aniso": "0.5"},
+        {"prob_aniso": 1.5},
+        {"chroma_lo": "x"},
+        {"chroma_lo": 1.2, "chroma_hi": 0.8},
+        {"awgn_sigma_max": -1},
+        {"awgn_sigma_max": float("inf")},
+        {"brightness_mix": 2.0},
+        {"blur_before_noise": "no"},
+        {"brightness_dark": {"mu": "x", "sigma": 0.1, "lo": 0.0, "hi": 1.0}},
+    ])
+    def test_bad_field_is_rejected(self, tmp_path, raw_path, capsys, fields):
+        # every ill-typed or out-of-range field is a schema-value error
+        # (exit 4) before any sample is drawn, never a traceback or a run
+        config = _write_json(tmp_path / "augment.json",
+                             {"schema_version": 1, **fields})
+        assert self._run(tmp_path, raw_path, config) == cli.EXIT_FORMAT
+        assert "E_SCHEMA_VALUE" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*.ppm"))
+
+    def test_written_default_config_runs(self, tmp_path, raw_path):
+        config = tmp_path / "augment.json"
+        formats.write_augment_config(aug.AugmentConfig(), config)
+        assert self._run(tmp_path, raw_path, config) == cli.EXIT_OK
+        assert len(list((tmp_path / "out").glob("*.ppm"))) == 8

@@ -63,12 +63,6 @@ class TestRelight:
         assert abs(residual.var() - 0.0021) < 0.1 * 0.0021
         assert abs(residual.mean()) <= 3.0 * math.sqrt(0.0021) / math.sqrt(n)
 
-    def test_literal_mean_mode_doubles_signal(self):
-        x = _const(8, 8, 0.5)
-        out = corrupt_relight(x, 0.2, ZERO_NOISE, RngStream.from_seed(0),
-                              literal_mean=True)
-        assert np.allclose(out.data, 0.2, atol=1e-15)
-
 
 class TestFlare:
     def test_no_flare_no_noise(self, rgb16):
@@ -498,6 +492,34 @@ class TestBayerWrapper:
         bay = random_bayer(8, 8, seed=1)
         with pytest.raises(ParameterError):
             corrupt_bayer(CorruptionSpec(kind="fog", seed=1), bay)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("cmos_damage", {"dead_rows": 17}),
+        ("cmos_damage", {"dead_rows": 99}),
+        ("cmos_damage", {"hot_pixel_rate": -0.5}),
+        ("cmos_damage", {"hot_pixel_rate": 1.5}),
+        ("sensor_noise", {"bits": 0}),
+        ("sensor_noise", {"bits": -3}),
+    ])
+    def test_mosaic_checks_match_the_rgb_path(self, kind, params):
+        # the mosaic variant runs the same checked body as the RGB function
+        bay = random_bayer(16, 16, seed=4)
+        spec = CorruptionSpec(kind=kind, seed=8, params=params)
+        with pytest.raises(ParameterError):
+            corrupt_bayer(spec, bay)
+        with pytest.raises(ParameterError):
+            apply_corruption(spec, LinearRgbImage(np.zeros((16, 16, 3))))
+
+    def test_mosaic_and_rgb_share_one_body(self):
+        # an (H, W) mosaic gets what each channel of an (H, W, 3) image gets
+        bay = random_bayer(16, 16, seed=4)
+        rgb = LinearRgbImage(np.repeat(bay.data[..., None], 3, axis=-1))
+        spec = CorruptionSpec(kind="cmos_damage", seed=8,
+                              params={"dead_rows": 3, "hot_pixel_rate": 0.05})
+        mosaic = corrupt_bayer(spec, bay).data
+        channels = np.clip(apply_corruption(spec, rgb).data, 0.0, 1.0)
+        for c in range(3):
+            assert np.array_equal(mosaic, channels[..., c])
 
 
 class TestProceduralSideInputs:
