@@ -87,6 +87,9 @@ class AugmentConfig:
                 raise ParameterError(f"{lo} must not exceed {hi}")
         if self.awgn_sigma_max < 0:
             raise ParameterError("awgn_sigma_max must be >= 0")
+        for name in ("iso_width_lo", "aniso_major_lo", "aniso_minor_frac_lo"):
+            if getattr(self, name) <= 0:  # sampled blur radii must be positive
+                raise ParameterError(f"{name} must be positive")
         if not isinstance(self.blur_before_noise, bool):
             raise ParameterError("blur_before_noise must be true or false")
         sizes = self.kernel_sizes

@@ -3,8 +3,16 @@ one library operation; all randomness flows from --seed (or RAWBENCH_SEED),
 and batch parallelism only ever spans whole images so --jobs never changes
 results.
 
-Exit codes: 0 success, 2 usage, 3 missing side input, 4 file/schema error,
-5 invalid parameters or dimensions, 6 undefined metric, 1 unexpected.
+Exit codes (EXIT_CODES maps the errors; the first matching row wins):
+  0  success
+  2  usage: a bad option (argparse), corrupt without --spec or --kind,
+     augment --n below 1
+  3  MissingDependencyError: a required side input was not supplied
+  4  FormatError: a file failed validation (formats.E_* codes)
+  5  ParameterError, DimensionError: invalid parameters or dimensions
+  6  MetricError: the metric is undefined for the records
+  4  OSError: an input that cannot be read or an output that cannot be written
+  1  anything else (a traceback)
 """
 
 import argparse
@@ -34,6 +42,16 @@ EXIT_FORMAT = 4
 EXIT_INVALID = 5
 EXIT_METRIC = 6
 EXIT_UNEXPECTED = 1
+
+# (error class, exit code), checked in order
+EXIT_CODES = (
+    (MissingDependencyError, EXIT_MISSING_DEP),
+    (FormatError, EXIT_FORMAT),
+    (ParameterError, EXIT_INVALID),
+    (DimensionError, EXIT_INVALID),
+    (MetricError, EXIT_METRIC),
+    (OSError, EXIT_FORMAT),
+)
 
 
 def _default_seed(value) -> int:
@@ -113,6 +131,9 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_augment(args) -> int:
+    if args.n < 1:
+        print("augment: --n must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     rgb = _load_input_rgb(args.input)
     config = (fmt.read_augment_config(args.augment_config)
               if args.augment_config else aug.AugmentConfig())
@@ -268,21 +289,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MissingDependencyError as e:
+    except tuple(cls for cls, _ in EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_MISSING_DEP
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (ParameterError, DimensionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except MetricError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_METRIC
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FORMAT
+        return next(code for cls, code in EXIT_CODES if isinstance(e, cls))
 
 
 if __name__ == "__main__":

@@ -91,6 +91,7 @@ class FitConfig:
             raise ParameterError("budget must be >= 1")
         if self.population < 2:
             raise ParameterError("population must be >= 2")
+        self.resolved_bounds()
 
     def resolved_bounds(self) -> np.ndarray:
         dims = FIT_DIMS + (LUT_DIMS if self.fit_lut else 0)

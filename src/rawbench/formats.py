@@ -4,10 +4,35 @@ specs, augmentation/fit configs, manifests, and evaluation records.
 
 Every JSON document carries schema_version: 1; unknown fields are rejected.
 Wherever a float meets an integer code the rounding is half away from zero.
+
+Each config dataclass defines its file's fields: IspParams, AugmentConfig
+(with TruncatedNormal), FitConfig and EvalRecord (a records row). _from_json
+and _to_json read and write exactly those fields, and __post_init__ makes
+every type and value check. Spec, manifest, NILUT and sidecar files demand
+more than their dataclasses (a seed; activation and residual; E_SIDECAR_*
+codes), so they keep their own readers.
+
+Error codes, one per violation class (the CLI exits 4 on every one):
+  E_PGM_MAGIC       a PNM file without the expected magic
+  E_PGM_MAXVAL      a PNM maxval the reader does not accept
+  E_PGM_DIMS        a width or height that is not an integer >= 1 (even for RAW)
+  E_PGM_PAYLOAD     a truncated header, or a payload of the wrong size
+  E_SIDECAR_FIELD   a missing sidecar, or a missing or unknown sidecar field
+  E_SIDECAR_VALUE   a sidecar field of the wrong type or value
+  E_CODE_RANGE      a RAW code above 2^bit_depth - 1
+  E_JSON_PARSE      a JSON file that is not UTF-8 or does not parse
+  E_SCHEMA_VERSION  a schema_version other than the integer 1
+  E_SCHEMA_FIELD    not a JSON object, or a missing or unknown field
+  E_SCHEMA_VALUE    a field of the wrong type or value
+  E_RANGE           a corruption parameter override outside its range
+  E_CSV_HEADER      an eval-record CSV without the method,condition,score header
+  E_CSV_VALUE       an eval-record CSV row that is malformed or out of range
 """
 
 import csv
+import dataclasses
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +48,6 @@ from .metrics import EvalRecord, RobustnessReport, normalize_score
 
 SCHEMA_VERSION = 1
 
-# error codes, one per violation class
 E_PGM_MAGIC = "E_PGM_MAGIC"
 E_PGM_MAXVAL = "E_PGM_MAXVAL"
 E_PGM_DIMS = "E_PGM_DIMS"
@@ -72,6 +96,8 @@ def _read_pnm(path, magic: str):
         width, height, maxval = (int(t) for t in tokens)
     except ValueError:
         raise FormatError(E_PGM_DIMS, f"{path}: non-numeric header fields")
+    if width < 1 or height < 1:
+        raise FormatError(E_PGM_DIMS, f"{path}: width and height must be >= 1")
     pos += 1  # single whitespace byte after maxval
     return width, height, maxval, raw[pos:]
 
@@ -89,8 +115,8 @@ def _sidecar_path(pgm_path) -> Path:
     return Path(pgm_path).with_suffix(".json")
 
 
-_SIDECAR_FIELDS = ("schema_version", "cfa", "bit_depth", "black_level",
-                   "white_level", "sensor_name")
+_SIDECAR_FIELDS = {"schema_version", "cfa", "bit_depth", "black_level",
+                   "white_level", "sensor_name"}
 
 
 def read_raw(pgm_path, sidecar_path=None) -> BayerImage:
@@ -99,24 +125,15 @@ def read_raw(pgm_path, sidecar_path=None) -> BayerImage:
     width, height, maxval, payload = _read_pnm(pgm_path, "P5")
     if maxval != 65535:
         raise FormatError(E_PGM_MAXVAL, f"{pgm_path}: maxval {maxval} != 65535")
-    if width % 2 or height % 2 or width < 2 or height < 2:
+    if width % 2 or height % 2:
         raise FormatError(E_PGM_DIMS, f"{pgm_path}: dimensions must be even")
     codes = _payload_u16(pgm_path, payload, width * height).reshape(height, width)
     try:
-        sidecar = json.loads(sidecar_path.read_text())
+        sidecar = _load_json(sidecar_path)
     except FileNotFoundError:
         raise FormatError(E_SIDECAR_FIELD, f"{sidecar_path}: sidecar missing")
-    except json.JSONDecodeError as e:
-        raise FormatError(E_JSON_PARSE, f"{sidecar_path}: {e}")
-    for name in _SIDECAR_FIELDS:
-        if name not in sidecar:
-            raise FormatError(E_SIDECAR_FIELD, f"{sidecar_path}: missing {name!r}")
-    unknown = set(sidecar) - set(_SIDECAR_FIELDS)
-    if unknown:
-        raise FormatError(E_SIDECAR_FIELD,
-                          f"{sidecar_path}: unknown fields {sorted(unknown)}")
-    if sidecar["schema_version"] != SCHEMA_VERSION:
-        raise FormatError(E_SCHEMA_VERSION, f"{sidecar_path}: unsupported version")
+    _check_schema(sidecar, _SIDECAR_FIELDS, set(), str(sidecar_path),
+                  field_code=E_SIDECAR_FIELD)
     try:
         cfa = CfaPattern(sidecar["cfa"])
     except ValueError:
@@ -124,12 +141,13 @@ def read_raw(pgm_path, sidecar_path=None) -> BayerImage:
                           f"{sidecar_path}: bad cfa {sidecar['cfa']!r}")
     bit_depth = sidecar["bit_depth"]
     black, white = sidecar["black_level"], sidecar["white_level"]
-    if not (isinstance(bit_depth, int) and 8 <= bit_depth <= 16):
+    if not (is_int(bit_depth) and 8 <= bit_depth <= 16):
         raise FormatError(E_SIDECAR_VALUE, f"{sidecar_path}: bit_depth out of [8,16]")
-    if not (isinstance(black, int) and isinstance(white, int)
-            and black < white <= 2**bit_depth - 1):
+    if not (is_int(black) and is_int(white) and black < white <= 2**bit_depth - 1):
         raise FormatError(E_SIDECAR_VALUE,
                           f"{sidecar_path}: need black < white <= 2^bits - 1")
+    if not isinstance(sidecar["sensor_name"], str):
+        raise FormatError(E_SIDECAR_VALUE, f"{sidecar_path}: sensor_name not a string")
     if codes.max() > 2**bit_depth - 1:
         raise FormatError(E_CODE_RANGE,
                           f"{pgm_path}: codes exceed 2^bit_depth - 1")
@@ -226,38 +244,78 @@ def write_json(obj, path) -> None:
 
 def _load_json(path):
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
+        return json.loads(Path(path).read_bytes())
+    except ValueError as e:  # not UTF-8, or not JSON
         raise FormatError(E_JSON_PARSE, f"{path}: {e}")
 
 
-def _check_schema(obj, required: set, optional: set, ctx: str):
+def _check_schema(obj, required: set, optional: set, ctx: str,
+                  field_code: str = E_SCHEMA_FIELD):
     if not isinstance(obj, dict):
-        raise FormatError(E_SCHEMA_FIELD, f"{ctx}: expected a JSON object")
+        raise FormatError(field_code, f"{ctx}: expected a JSON object")
     missing = required - set(obj)
     if missing:
-        raise FormatError(E_SCHEMA_FIELD, f"{ctx}: missing {sorted(missing)}")
+        raise FormatError(field_code, f"{ctx}: missing {sorted(missing)}")
     unknown = set(obj) - required - optional
     if unknown:
-        raise FormatError(E_SCHEMA_FIELD, f"{ctx}: unknown fields {sorted(unknown)}")
-    if "schema_version" in required and obj["schema_version"] != SCHEMA_VERSION:
-        raise FormatError(E_SCHEMA_VERSION, f"{ctx}: unsupported schema_version")
+        raise FormatError(field_code, f"{ctx}: unknown fields {sorted(unknown)}")
+    version = obj.get("schema_version", SCHEMA_VERSION)
+    if not is_int(version) or version != SCHEMA_VERSION:
+        raise FormatError(E_SCHEMA_VERSION,
+                          f"{ctx}: unsupported schema_version {version!r}")
+
+
+def _from_json(cls, obj, ctx: str, convert=None, versioned: bool = True):
+    """Config dataclass `cls` from a JSON object: a field without a default
+    is required; `convert` maps a field to fn(value, ctx) where the JSON and
+    Python shapes differ."""
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
+    required = {f.name for f in fields if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING}
+    _check_schema(obj, required | ({"schema_version"} if versioned else set()),
+                  names - required, ctx)
+    convert = convert or {}
+    try:
+        kwargs = {name: convert[name](obj[name], f"{ctx}: {name}")
+                  if name in convert else obj[name] for name in names & set(obj)}
+        return cls(**kwargs)
+    except ParameterError as e:
+        raise FormatError(E_SCHEMA_VALUE, f"{ctx}: {e}")
+
+
+def _to_json(value, **extra):
+    """The JSON form of a config: a dataclass is an object of its fields plus
+    `extra` (a NILUT's layers are {weights, bias} objects), and tuples,
+    arrays and numpy scalars are lists and plain numbers."""
+    if dataclasses.is_dataclass(value):
+        obj = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        if isinstance(value, NilutWeights):
+            obj["layers"] = [{"weights": w, "bias": b} for w, b in value.layers]
+        value = {**obj, **extra}
+    if isinstance(value, dict):
+        return {k: _to_json(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_to_json(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
+
+
+def _tuples(value, ctx):  # anything but a list is left for cls to reject
+    return tuple(_tuples(v, ctx) for v in value) if isinstance(value, list) else value
 
 
 def _as_matrix(value, shape, ctx):
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape != shape or not np.all(np.isfinite(arr)):
-        raise FormatError(E_SCHEMA_VALUE, f"{ctx}: expected finite shape {shape}")
-    return arr
-
-
-def nilut_to_json(weights: NilutWeights) -> dict:
-    return {
-        "activation": weights.activation,
-        "residual": weights.residual,
-        "layers": [{"weights": w.tolist(), "bias": b.tolist()}
-                   for w, b in weights.layers],
-    }
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        arr = None
+    if (arr is None or arr.dtype.kind not in "iuf" or arr.shape != shape
+            or not np.all(np.isfinite(arr))):
+        raise FormatError(E_SCHEMA_VALUE,
+                          f"{ctx}: expected finite numbers of shape {shape}")
+    return arr.astype(np.float64)
 
 
 def nilut_from_json(obj, ctx: str) -> NilutWeights:
@@ -279,33 +337,16 @@ def nilut_from_json(obj, ctx: str) -> NilutWeights:
         raise FormatError(E_SCHEMA_VALUE, f"{ctx}: {e}")
 
 
-_PARAM_FIELDS = {"schema_version", "g", "r1", "r2", "theta", "sigma", "rho",
-                 "ccm", "lut"}
-
-
 def write_isp_params(params: IspParams, path) -> None:
-    write_json({
-        "schema_version": SCHEMA_VERSION,
-        "g": params.g, "r1": params.r1, "r2": params.r2,
-        "theta": params.theta, "sigma": params.sigma, "rho": params.rho,
-        "ccm": params.ccm.tolist(),
-        "lut": nilut_to_json(params.lut),
-    }, path)
+    write_json(_to_json(params, schema_version=SCHEMA_VERSION), path)
 
 
 def read_isp_params(path) -> IspParams:
-    obj = _load_json(path)
-    _check_schema(obj, _PARAM_FIELDS - {"lut"}, {"lut"}, str(path))
-    ccm = _as_matrix(obj["ccm"], (3, 3), f"{path}: ccm")
-    lut = (NilutWeights.identity() if obj.get("lut") is None
-           else nilut_from_json(obj["lut"], f"{path}: lut"))
-    try:
-        return IspParams(g=float(obj["g"]), r1=float(obj["r1"]),
-                         r2=float(obj["r2"]), theta=float(obj["theta"]),
-                         sigma=float(obj["sigma"]), rho=float(obj["rho"]),
-                         ccm=ccm, lut=lut)
-    except ParameterError as e:
-        raise FormatError(E_SCHEMA_VALUE, f"{path}: {e}")
+    return _from_json(IspParams, _load_json(path), str(path), {
+        "ccm": lambda v, ctx: _as_matrix(v, (3, 3), ctx),
+        "lut": lambda v, ctx: (NilutWeights.identity() if v is None
+                               else nilut_from_json(v, ctx)),
+    })
 
 
 def validate_spec_params(kind: str, params, ctx: str = "spec") -> None:
@@ -326,8 +367,7 @@ def validate_spec_params(kind: str, params, ctx: str = "spec") -> None:
 
 
 def write_corruption_spec(spec: CorruptionSpec, path) -> None:
-    write_json({"schema_version": SCHEMA_VERSION, "kind": spec.kind,
-                "seed": spec.seed, "params": dict(spec.params)}, path)
+    write_json(_to_json(spec, schema_version=SCHEMA_VERSION), path)
 
 
 def _spec_from_json(obj, ctx: str) -> CorruptionSpec:
@@ -348,101 +388,30 @@ def read_corruption_spec(path) -> CorruptionSpec:
     return _spec_from_json(obj, str(path))
 
 
-_TN_FIELDS = {"mu", "sigma", "lo", "hi"}
-
-
-def _tn_from_json(obj, ctx):
-    _check_schema(obj, _TN_FIELDS, set(), ctx)
-    try:
-        return TruncatedNormal(obj["mu"], obj["sigma"], obj["lo"], obj["hi"])
-    except ParameterError as e:
-        raise FormatError(E_SCHEMA_VALUE, f"{ctx}: {e}")
-
-
-_AUGMENT_FIELDS = {
-    "prob_original", "prob_brightness", "prob_chroma", "prob_quality",
-    "brightness_dark", "brightness_bright", "brightness_mix",
-    "chroma_lo", "chroma_hi", "kernel_sizes",
-    "iso_width_lo", "iso_width_hi", "aniso_angle_lo", "aniso_angle_hi",
-    "aniso_major_lo", "aniso_major_hi",
-    "aniso_minor_frac_lo", "aniso_minor_frac_hi",
-    "prob_aniso", "awgn_sigma_max", "blur_before_noise",
-}
-
-
 def write_augment_config(config: AugmentConfig, path) -> None:
-    obj = {"schema_version": SCHEMA_VERSION}
-    for name in sorted(_AUGMENT_FIELDS):
-        value = getattr(config, name)
-        if isinstance(value, TruncatedNormal):
-            value = {"mu": value.mu, "sigma": value.sigma,
-                     "lo": value.lo, "hi": value.hi}
-        elif isinstance(value, tuple):
-            value = list(value)
-        obj[name] = value
-    write_json(obj, path)
+    write_json(_to_json(config, schema_version=SCHEMA_VERSION), path)
 
 
 def read_augment_config(path) -> AugmentConfig:
-    obj = _load_json(path)
-    _check_schema(obj, {"schema_version"}, _AUGMENT_FIELDS, str(path))
-    kwargs = {}
-    for name in _AUGMENT_FIELDS & set(obj):
-        value = obj[name]
-        if name in ("brightness_dark", "brightness_bright"):
-            value = _tn_from_json(value, f"{path}: {name}")
-        elif name == "kernel_sizes" and isinstance(value, list):
-            value = tuple(value)
-        kwargs[name] = value
-    try:
-        return AugmentConfig(**kwargs)
-    except ParameterError as e:
-        raise FormatError(E_SCHEMA_VALUE, f"{path}: {e}")
-
-
-_FIT_FIELDS = {"loss", "optimizer", "budget", "bounds", "population",
-               "init_step", "seed", "kernel_size", "fit_lut"}
+    component = partial(_from_json, TruncatedNormal, versioned=False)
+    return _from_json(AugmentConfig, _load_json(path), str(path), {
+        "brightness_dark": component, "brightness_bright": component,
+        "kernel_sizes": _tuples})
 
 
 def write_fit_config(config: FitConfig, path) -> None:
-    obj = {"schema_version": SCHEMA_VERSION}
-    for name in sorted(_FIT_FIELDS):
-        value = getattr(config, name)
-        if name == "bounds" and value is not None:
-            value = [list(b) for b in value]
-        obj[name] = value
-    write_json(obj, path)
+    write_json(_to_json(config, schema_version=SCHEMA_VERSION), path)
 
 
 def read_fit_config(path) -> FitConfig:
-    obj = _load_json(path)
-    _check_schema(obj, {"schema_version"}, _FIT_FIELDS, str(path))
-    kwargs = {name: obj[name] for name in _FIT_FIELDS & set(obj)}
-    if kwargs.get("bounds") is not None:
-        try:
-            kwargs["bounds"] = tuple(tuple(b) for b in kwargs["bounds"])
-        except TypeError:
-            raise FormatError(E_SCHEMA_VALUE, f"{path}: bounds must be (lo, hi) pairs")
-    try:
-        config = FitConfig(**kwargs)
-        config.resolved_bounds()
-    except ParameterError as e:
-        raise FormatError(E_SCHEMA_VALUE, f"{path}: {e}")
-    return config
-
-
-_MANIFEST_ENTRY_FIELDS = {"image_id", "kind", "seed"}
+    return _from_json(FitConfig, _load_json(path), str(path), {"bounds": _tuples})
 
 
 def write_bench_manifest(master_seed: int, entries, path) -> None:
     write_json({
         "schema_version": SCHEMA_VERSION,
         "master_seed": master_seed,
-        "entries": [
-            {"image_id": image_id, "kind": spec.kind, "seed": spec.seed,
-             "params": dict(spec.params)}
-            for image_id, spec in entries
-        ],
+        "entries": [_to_json(spec, image_id=image_id) for image_id, spec in entries],
     }, path)
 
 
@@ -458,7 +427,7 @@ def read_bench_manifest(path):
     entries, seen = [], set()
     for i, e in enumerate(obj["entries"]):
         ctx = f"{path}: entries[{i}]"
-        _check_schema(e, _MANIFEST_ENTRY_FIELDS, {"params"}, ctx)
+        _check_schema(e, {"image_id", "kind", "seed"}, {"params"}, ctx)
         if not isinstance(e["image_id"], str):
             raise FormatError(E_SCHEMA_VALUE, f"{ctx}: image_id must be a string")
         spec = _spec_from_json(e, ctx)
@@ -478,47 +447,34 @@ def read_eval_records(path):
     (either {"schema_version": 1, "records": [...]} or a bare array)."""
     path = Path(path)
     if path.suffix.lower() == ".json":
-        obj = _load_json(path)
-        if isinstance(obj, dict):
-            _check_schema(obj, {"schema_version", "records"}, set(), str(path))
-            rows = obj["records"]
-        else:
-            rows = obj
-        records = []
-        for i, row in enumerate(rows):
-            _check_schema(row, {"method", "condition", "score"}, set(),
-                          f"{path}: records[{i}]")
-            records.append(_make_record(row["method"], row["condition"],
-                                        row["score"], f"{path}: records[{i}]"))
-        return records
+        rows = _load_json(path)
+        if isinstance(rows, dict):
+            _check_schema(rows, {"schema_version", "records"}, set(), str(path))
+            rows = rows["records"]
+        if not isinstance(rows, list):
+            raise FormatError(E_SCHEMA_VALUE, f"{path}: records must be a list")
+        score = {"score": lambda v, ctx: normalize_score(v)}
+        return [_from_json(EvalRecord, row, f"{path}: records[{i}]", score,
+                           versioned=False) for i, row in enumerate(rows)]
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["method", "condition", "score"]:
-            raise FormatError(E_CSV_HEADER,
-                              f"{path}: expected header method,condition,score")
-        records = []
-        for i, row in enumerate(reader):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise FormatError(E_CSV_VALUE, f"{path}: row {i + 2} malformed")
-            try:
-                score = float(row[2])
-            except ValueError:
-                raise FormatError(E_CSV_VALUE,
-                                  f"{path}: row {i + 2} score not numeric")
-            records.append(_make_record(row[0], row[1], score,
-                                        f"{path}: row {i + 2}"))
-        return records
-
-
-def _make_record(method, condition, score, ctx) -> EvalRecord:
-    try:
-        return EvalRecord(method=method, condition=condition,
-                          score=normalize_score(float(score)))
-    except ParameterError as e:
-        raise FormatError(E_CSV_VALUE, f"{ctx}: {e}")
+        try:
+            rows = list(csv.reader(f))
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise FormatError(E_CSV_VALUE, f"{path}: {e}")
+    if rows[:1] != [["method", "condition", "score"]]:
+        raise FormatError(E_CSV_HEADER,
+                          f"{path}: expected header method,condition,score")
+    records = []
+    for i, row in enumerate(rows[1:]):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise FormatError(E_CSV_VALUE, f"{path}: row {i + 2} malformed")
+        try:  # a non-numeric score, or a ParameterError of the record
+            records.append(EvalRecord(row[0], row[1], normalize_score(float(row[2]))))
+        except ValueError as e:
+            raise FormatError(E_CSV_VALUE, f"{path}: row {i + 2}: {e}")
+    return records
 
 
 def report_to_json(report: RobustnessReport) -> dict:

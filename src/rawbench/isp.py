@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, is_real
 from .raw import BayerImage, LinearRgbImage, demosaic_bilinear, spatial_filter
 
 NILUT_HIDDEN_WIDTH = 32
@@ -58,12 +58,20 @@ def make_gaussian_kernel(r1: float, r2: float, theta: float, size: int) -> Kerne
         raise ParameterError("kernel radii must be positive")
     if size < 1 or size % 2 == 0:
         raise ParameterError("kernel size must be odd and >= 1")
-    b0, b1, b2 = gaussian_coefficients(r1, r2, theta)
+    try:  # radii or angles near the float limits divide by zero or overflow
+        b0, b1, b2 = gaussian_coefficients(r1, r2, theta)
+        if not all(math.isfinite(b) for b in (b0, b1, b2)):
+            raise OverflowError
+    except (ZeroDivisionError, OverflowError, ValueError):  # ValueError: sin(inf)
+        raise ParameterError("kernel parameters out of the representable range")
     half = (size - 1) // 2
     coords = np.arange(-half, half + 1, dtype=np.float64)
     x, y = np.meshgrid(coords, coords)  # x: column offset, y: row offset
-    taps = np.exp(-(b0 * x * x + 2.0 * b1 * x * y + b2 * y * y))
-    return Kernel2D(taps / taps.sum())
+    # a quadratic form that overflows gives a zero tap, or a NaN one that
+    # Kernel2D rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        taps = np.exp(-(b0 * x * x + 2.0 * b1 * x * y + b2 * y * y))
+        return Kernel2D(taps / taps.sum())
 
 
 def gaussian_coefficients(r1: float, r2: float, theta: float):
@@ -76,7 +84,10 @@ def gaussian_coefficients(r1: float, r2: float, theta: float):
 
 def default_kernel_size(r1: float, r2: float, cap: int = 21) -> int:
     """Support rule: 2*ceil(2*max(r1, r2)) + 1, capped."""
-    return min(2 * math.ceil(2.0 * max(r1, r2)) + 1, cap)
+    reach = 2.0 * max(r1, r2)
+    if not math.isfinite(reach):
+        raise ParameterError("kernel radius out of the representable range")
+    return min(2 * math.ceil(reach) + 1, cap)
 
 
 @dataclass(frozen=True)
@@ -168,8 +179,8 @@ class IspParams:
 
     def __post_init__(self):
         scalars = (self.g, self.r1, self.r2, self.theta, self.sigma, self.rho)
-        if not all(math.isfinite(v) for v in scalars):
-            raise ParameterError("ISP parameters must be finite")
+        if not all(is_real(v) and math.isfinite(v) for v in scalars):
+            raise ParameterError("ISP parameters must be finite numbers")
         if self.g < 0:
             raise ParameterError("gain must be >= 0")
         if self.r1 <= 0 or self.r2 <= 0:
@@ -199,8 +210,7 @@ def gain_denoise_sharpen(img: LinearRgbImage, g: float, kernel: Kernel2D,
     return LinearRgbImage(out)
 
 
-def sog_white_balance(img: LinearRgbImage, rho: float,
-                      reciprocal: bool = False):
+def sog_white_balance(img: LinearRgbImage, rho: float):
     """Shades-of-Gray gains: m_i = ||channel i||_rho / ||all channels||_rho,
     then scale each channel by m_i (the literal multiply-by-gain form).
 
@@ -219,8 +229,6 @@ def sog_white_balance(img: LinearRgbImage, rho: float,
         gains = (1.0, 1.0, 1.0)
     else:
         gains = tuple((3.0 * p / total) ** (1.0 / rho) for p in powers)
-        if reciprocal:
-            gains = tuple(1.0 / m for m in gains)
     out = img.data * np.array(gains)
     return LinearRgbImage(out), gains
 

@@ -8,7 +8,7 @@ everything is normalized to fractions before any arithmetic.
 
 from dataclasses import dataclass
 
-from .errors import MetricError, ParameterError
+from .errors import MetricError, ParameterError, is_real
 
 NORMAL_CONDITION = "normal"
 
@@ -20,7 +20,9 @@ class EvalRecord:
     score: float  # fraction in [0, 1]
 
     def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
+        if not (isinstance(self.method, str) and isinstance(self.condition, str)):
+            raise ParameterError("method and condition must be strings")
+        if not (is_real(self.score) and 0.0 <= self.score <= 1.0):
             raise ParameterError(
                 f"score for ({self.method}, {self.condition}) outside [0, 1]"
             )
@@ -28,6 +30,8 @@ class EvalRecord:
 
 def normalize_score(value: float) -> float:
     """Accept fractions or percents; anything in (1, 100] is divided by 100."""
+    if not is_real(value):
+        raise ParameterError(f"score {value!r} is not a number")
     if value > 1.0:
         value = value / 100.0
     if not 0.0 <= value <= 1.0:
@@ -35,13 +39,21 @@ def normalize_score(value: float) -> float:
     return value
 
 
+def _degradation(score_f: float, score_ref: float, f_normal: float = 1.0,
+                 ref_normal: float = 1.0):
+    """(f_normal - score_f) / (ref_normal - score_ref), or None where the
+    reference does not degrade. CD takes a perfect score as the normal one;
+    rCD takes each method's clear-condition score."""
+    den = ref_normal - score_ref
+    return None if den == 0.0 else (f_normal - score_f) / den
+
+
 def corruption_degradation(score_f: float, score_ref: float) -> float:
     """CD = (1 - score_f) / (1 - score_ref)."""
-    score_f = normalize_score(score_f)
-    score_ref = normalize_score(score_ref)
-    if score_ref == 1.0:
+    cd = _degradation(normalize_score(score_f), normalize_score(score_ref))
+    if cd is None:
         raise MetricError("reference error is zero; CD undefined")
-    return (1.0 - score_f) / (1.0 - score_ref)
+    return cd
 
 
 def relative_cd(score_f_c: float, score_f_normal: float, score_ref_c: float,
@@ -51,13 +63,13 @@ def relative_cd(score_f_c: float, score_f_normal: float, score_ref_c: float,
     score_f_normal = normalize_score(score_f_normal)
     score_ref_c = normalize_score(score_ref_c)
     score_ref_normal = normalize_score(score_ref_normal)
-    den = score_ref_normal - score_ref_c
-    if den == 0.0:
+    rcd = _degradation(score_f_c, score_ref_c, score_f_normal, score_ref_normal)
+    if rcd is None:
         raise MetricError(
             "rCD undefined: reference degrades by zero "
             f"(normal={score_ref_normal}, corrupted={score_ref_c})"
         )
-    return (score_f_normal - score_f_c) / den
+    return rcd
 
 
 def truncated_mean(values) -> float:
@@ -112,16 +124,13 @@ def build_report(records, reference_method: str) -> RobustnessReport:
                 rcd[key] = None
                 continue
             s_f, s_ref = scores[key], scores[(reference_method, c)]
-            cd[key] = None if s_ref == 1.0 else (1.0 - s_f) / (1.0 - s_ref)
-            if c == NORMAL_CONDITION:
-                rcd[key] = None
-                continue
+            cd[key] = _degradation(s_f, s_ref)
             m_normal = scores.get((m, NORMAL_CONDITION))
-            if (m_normal is None or ref_normal is None
-                    or ref_normal - s_ref == 0.0):
+            if (c == NORMAL_CONDITION or m_normal is None
+                    or ref_normal is None):
                 rcd[key] = None
             else:
-                rcd[key] = (m_normal - s_f) / (ref_normal - s_ref)
+                rcd[key] = _degradation(s_f, s_ref, m_normal, ref_normal)
     tmean = {}
     for m in methods:
         defined = [rcd[(m, c)] for c in conditions

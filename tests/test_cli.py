@@ -200,6 +200,9 @@ class TestAugmentConfig:
         {"chroma_lo": "x"},
         {"chroma_lo": 1.2, "chroma_hi": 0.8},
         {"awgn_sigma_max": -1},
+        {"iso_width_lo": -1},
+        {"aniso_major_lo": 0},
+        {"aniso_minor_frac_lo": -0.5},
         {"awgn_sigma_max": float("inf")},
         {"brightness_mix": 2.0},
         {"blur_before_noise": "no"},

@@ -174,13 +174,6 @@ class TestSogWhiteBalance:
         # gains computed from the clamped copy, output scales raw values
         assert out.data[0, 0, 0] == -0.25 * gains[0]
 
-    def test_reciprocal_mode(self):
-        img = LinearRgbImage(np.stack([np.full((2, 2), 0.5),
-                                       np.full((2, 2), 0.25),
-                                       np.full((2, 2), 0.25)], -1))
-        _, gains = sog_white_balance(img, 1.0, reciprocal=True)
-        assert gains == (1 / 1.5, 1 / 0.75, 1 / 0.75)
-
     def test_rho_below_one_rejected(self, rgb16):
         with pytest.raises(ParameterError):
             sog_white_balance(rgb16, 0.5)
@@ -398,6 +391,31 @@ class TestNonFiniteParameters:
     def test_gaussian_kernel(self, args):
         with pytest.raises(ParameterError):
             make_gaussian_kernel(*args, 5)
+
+    @pytest.mark.parametrize("args", [
+        (1e-320, 2.0, 0.0), (3.0, 1e-320, 0.0), (1e308, 2.0, 0.0),
+        (3.0, 2.0, 1e308), (3.0, 2.0, -1e308), (1e-155, 2.0, 0.0),
+    ])
+    def test_gaussian_kernel_at_the_float_limits(self, args):
+        # finite values whose coefficients divide by zero or overflow
+        with pytest.raises(ParameterError, match="representable range"):
+            make_gaussian_kernel(*args, 9)
+
+    @pytest.mark.parametrize("r1, r2", [(1e308, 2.0), (3.0, 1e308)])
+    def test_default_kernel_size_at_the_float_limits(self, r1, r2):
+        with pytest.raises(ParameterError, match="representable range"):
+            default_kernel_size(r1, r2)
+
+    def test_overflowing_taps_are_zero(self):
+        # b0 = 5e307 is finite, but b0 * 4**2 overflows: exp(-inf) is 0
+        kernel = make_gaussian_kernel(1e-154, 2.0, 0.0, 9)
+        assert kernel.taps[4, 4] > 0 and kernel.taps[4, 0] == 0.0
+
+    @pytest.mark.parametrize("name", ["g", "theta"])
+    @pytest.mark.parametrize("bad", ["1", None, True])
+    def test_isp_params_need_numbers(self, name, bad):
+        with pytest.raises(ParameterError, match="finite numbers"):
+            IspParams(**{**_VALID_PARAMS, name: bad}, ccm=np.eye(3))
 
 
 class TestConstrainParams:

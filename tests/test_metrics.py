@@ -24,6 +24,11 @@ class TestCorruptionDegradation:
         with pytest.raises(MetricError):
             corruption_degradation(0.9, 1.0)
 
+    @pytest.mark.parametrize("score", ["0.5", None, True, [0.5]])
+    def test_non_number_rejected(self, score):
+        with pytest.raises(ParameterError, match="not a number"):
+            corruption_degradation(score, 0.5)
+
     def test_percent_fraction_invariance(self):
         # decimal literals differ in the last ulp after /100, nothing more
         assert corruption_degradation(75.9, 74.9) == pytest.approx(
@@ -156,3 +161,12 @@ class TestBuildReport:
         assert "96.0%" in table
         assert "reference: baseline" in table
         assert "truncated-mean rCD" in table
+
+
+@pytest.mark.parametrize("method, condition, score", [
+    (["a"], "fog", 0.5), ("a", 3, 0.5), ("a", "fog", True), ("a", "fog", "0.5"),
+    ("a", "fog", float("nan")),
+])
+def test_eval_record_checks_types(method, condition, score):
+    with pytest.raises(ParameterError):
+        EvalRecord(method, condition, score)
