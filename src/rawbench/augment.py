@@ -8,21 +8,24 @@ constraint holds exactly in floating point, not just approximately.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, is_int, is_real
+from .errors import ParameterError, is_finite_real, is_int
 from .raw import LinearRgbImage, spatial_filter
 from .isp import make_gaussian_kernel
 from .rng import RngStream
 
 _GRID = float(1 << 26)
+MIN_MASS = 1e-3  # of a TruncatedNormal's Gaussian inside its [lo, hi]
 
 
 @dataclass(frozen=True)
 class TruncatedNormal:
-    """Gaussian restricted to [lo, hi] by rejection."""
+    """Gaussian restricted to [lo, hi] by rejection. The Gaussian must put
+    a mass of at least MIN_MASS inside [lo, hi], so that rejection draws
+    about 1/MIN_MASS normals at most, on average."""
 
     mu: float
     sigma: float
@@ -30,13 +33,19 @@ class TruncatedNormal:
     hi: float
 
     def __post_init__(self):
-        if not all(is_real(v) and math.isfinite(v)
+        if not all(is_finite_real(v)
                    for v in (self.mu, self.sigma, self.lo, self.hi)):
             raise ParameterError("mu, sigma, lo and hi must be finite numbers")
         if self.sigma <= 0:
             raise ParameterError("sigma must be positive")
         if self.lo >= self.hi:
             raise ParameterError("lo must be below hi")
+        mu, sigma, lo, hi = map(float, (self.mu, self.sigma, self.lo, self.hi))
+        lo_z, hi_z = ((v - mu) / sigma / math.sqrt(2.0) for v in (lo, hi))
+        mass = 0.5 * (math.erf(hi_z) - math.erf(lo_z))
+        if mass < MIN_MASS:
+            raise ParameterError(f"N({mu}, {sigma}) has a mass of {mass:.3g} "
+                                 f"inside [{lo}, {hi}], below {MIN_MASS}")
 
 
 _PROBABILITIES = ("prob_original", "prob_brightness", "prob_chroma",
@@ -78,7 +87,7 @@ class AugmentConfig:
             raise ParameterError("brightness components must be truncated normals")
         for name in _REALS:
             value = getattr(self, name)
-            if not (is_real(value) and math.isfinite(value)):
+            if not is_finite_real(value):
                 raise ParameterError(f"{name} must be a finite number")
             if name in _PROBABILITIES and not 0.0 <= value <= 1.0:
                 raise ParameterError(f"{name} must lie in [0, 1]")

@@ -22,8 +22,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import augment as aug
 from . import corrupt as cor
 from . import formats as fmt
@@ -62,7 +60,8 @@ def _default_seed(value) -> int:
 
 def _load_input_rgb(path) -> rawmod.LinearRgbImage:
     """RAW containers (P5 + sidecar) are demosaiced; P6 files load directly."""
-    magic = Path(path).read_bytes()[:2]
+    with open(path, "rb") as f:
+        magic = f.read(2)
     if magic == b"P6":
         return fmt.read_rgb(path)
     return rawmod.demosaic_bilinear(fmt.read_raw(path))

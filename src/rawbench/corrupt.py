@@ -22,7 +22,7 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 
 from .errors import (DimensionError, MissingDependencyError, ParameterError,
-                     is_int, is_real)
+                     is_finite_real, is_int, is_real)
 from .raw import BayerImage, LinearRgbImage, spatial_filter
 from .rng import RngStream
 
@@ -268,8 +268,8 @@ def corrupt_defocus_blur(x: LinearRgbImage, radius: float) -> LinearRgbImage:
 def _sensor_noise(data: np.ndarray, noise: NoiseModel, bits: int,
                   rng: RngStream, quantize: bool = True) -> np.ndarray:
     """Sensor noise on an (H, W) mosaic or an (H, W, 3) image."""
-    if bits < 1:
-        raise ParameterError("bit depth must be >= 1")
+    if not 1 <= bits <= 64:
+        raise ParameterError("bit depth must lie in [1, 64]")
     out = data + _signal_noise(data, noise, rng)
     if quantize:
         half_lsb = 1.0 / 2.0 ** (bits + 1)
@@ -425,7 +425,7 @@ def _like(value, default) -> bool:
                 and all(_like(v, d) for v, d in zip(value, default)))
     if isinstance(default, int):
         return is_int(value)
-    return is_real(value) and math.isfinite(value)
+    return is_finite_real(value)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Shared exception types, which the CLI maps onto distinct exit codes, and
 the type predicates the checks that raise them use."""
 
+import math
+
 import numpy as np
 
 
@@ -13,6 +15,15 @@ def is_real(value) -> bool:
     """A real number (int or float, numpy scalars included), not a bool."""
     return isinstance(value, (int, float, np.integer, np.floating)) \
         and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """A real number that is finite as a float: NaN, the infinities and an
+    int too large for a float are not."""
+    try:
+        return is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class RawBenchError(Exception):

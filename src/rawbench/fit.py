@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, is_int, is_real
+from .errors import DimensionError, ParameterError, is_finite_real, is_int
 from .isp import (IspParams, RAW_PARAM_LEN, THETA_SLOT, constrain_params,
                   gain_denoise_sharpen, make_gaussian_kernel,
                   sog_white_balance)
@@ -82,8 +82,7 @@ class FitConfig:
                 raise ParameterError(f"{name} must be an integer")
         if not isinstance(self.fit_lut, bool):
             raise ParameterError("fit_lut must be true or false")
-        if not (is_real(self.init_step) and math.isfinite(self.init_step)
-                and 0.0 < self.init_step <= 1.0):
+        if not (is_finite_real(self.init_step) and 0.0 < self.init_step <= 1.0):
             raise ParameterError("init_step must be a finite number in (0, 1]")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ParameterError("kernel_size must be odd and >= 1")
@@ -103,7 +102,7 @@ class FitConfig:
             bounds = self.bounds
         try:
             arr = np.asarray(bounds, dtype=np.float64)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             arr = None
         if arr is None or arr.shape != (dims, 2):
             raise ParameterError(f"bounds must be {dims} (lo, hi) pairs")
@@ -124,13 +123,6 @@ class FitTrace:
         idx = len(self.entries)
         self.entries.append((idx, vector.copy(), loss))
         return idx
-
-    def best_so_far(self) -> list:
-        out, best = [], np.inf
-        for _, _, loss in self.entries:
-            best = min(best, loss)
-            out.append(best)
-        return out
 
 
 def image_loss(a: LinearRgbImage, b: LinearRgbImage, kind: str = "l1") -> float:

@@ -1,6 +1,12 @@
-"""Bit-exact file formats: 16-bit PGM RAW container with a JSON sidecar,
-PPM image writers, and strict JSON/CSV schemas for parameters, corruption
-specs, augmentation/fit configs, manifests, and evaluation records.
+"""Bit-exact file formats: a 16-bit PGM RAW container with a JSON sidecar,
+PNM images, and strict JSON/CSV schemas for parameters, corruption specs,
+augmentation/fit configs, manifests, and evaluation records.
+
+Every PNM file goes through one codec. _read_pnm checks the header (magic,
+width, height, maxval; '#' comments allowed), _pnm_codes decodes the payload
+((H, W) for P5, (H, W, 3) for P6; uint8 for maxval 255, big-endian uint16 for
+65535) and _write_pnm writes codes back. Each image reader and writer only
+names the magics and maxvals it accepts.
 
 Every JSON document carries schema_version: 1; unknown fields are rejected.
 Wherever a float meets an integer code the rounding is half away from zero.
@@ -32,6 +38,9 @@ Error codes, one per violation class (the CLI exits 4 on every one):
 import csv
 import dataclasses
 import json
+import math
+import re
+from collections import namedtuple
 from functools import partial
 from pathlib import Path
 
@@ -70,49 +79,52 @@ def _round_half_away(values: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------- PNM layer
 
-def _read_pnm(path, magic: str):
+# whitespace and '#' comments, then a whole token (it never splits in two)
+_PNM_HEADER = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]\S*)(?!\S)" * 3)
+_PNM_SAMPLE = {255: np.dtype(np.uint8), 65535: np.dtype(">u2")}
+_PnmHeader = namedtuple("_PnmHeader", "magic width height maxval payload")
+
+
+def _read_pnm(path, magics, maxvals) -> _PnmHeader:
+    """The checked header of a PNM file (magic in `magics`, width and height
+    >= 1, maxval in `maxvals`) and the payload after the byte that ends it."""
     raw = Path(path).read_bytes()
-    if not raw.startswith(magic.encode()):
-        raise FormatError(E_PGM_MAGIC, f"{path}: expected {magic} file")
-    # header = magic + 3 decimal tokens, '#' comments allowed
-    tokens, pos = [], len(magic)
-    while len(tokens) < 3:
-        if pos >= len(raw):
-            raise FormatError(E_PGM_PAYLOAD, f"{path}: truncated header")
-        ch = raw[pos:pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            pos = raw.find(b"\n", pos)
-            if pos < 0:
-                raise FormatError(E_PGM_PAYLOAD, f"{path}: truncated header")
-        else:
-            end = pos
-            while end < len(raw) and not raw[end:end + 1].isspace():
-                end += 1
-            tokens.append(raw[pos:end])
-            pos = end
+    magic = raw[:2].decode("latin-1")
+    if magic not in magics:
+        raise FormatError(E_PGM_MAGIC, f"{path}: expected a {'/'.join(magics)} file")
+    header = _PNM_HEADER.match(raw, 2)
+    if header is None:
+        raise FormatError(E_PGM_PAYLOAD, f"{path}: truncated header")
     try:
-        width, height, maxval = (int(t) for t in tokens)
+        width, height, maxval = (int(token) for token in header.groups())
     except ValueError:
         raise FormatError(E_PGM_DIMS, f"{path}: non-numeric header fields")
     if width < 1 or height < 1:
         raise FormatError(E_PGM_DIMS, f"{path}: width and height must be >= 1")
-    pos += 1  # single whitespace byte after maxval
-    return width, height, maxval, raw[pos:]
+    if maxval not in maxvals:
+        raise FormatError(E_PGM_MAXVAL, f"{path}: maxval {maxval} not in {maxvals}")
+    return _PnmHeader(magic, width, height, maxval,
+                      memoryview(raw)[header.end() + 1:])
 
 
-def _payload_u16(path, payload: bytes, count: int) -> np.ndarray:
-    if len(payload) != 2 * count:
-        raise FormatError(
-            E_PGM_PAYLOAD,
-            f"{path}: payload holds {len(payload)} bytes, expected {2 * count}",
-        )
-    return np.frombuffer(payload, dtype=">u2").astype(np.int64)
+def _pnm_codes(path, header: _PnmHeader) -> np.ndarray:
+    """The payload as codes: (H, W) for P5, (H, W, 3) for P6; uint8 for
+    maxval 255, big-endian uint16 for 65535."""
+    shape = (header.height, header.width) + ((3,) if header.magic == "P6" else ())
+    sample = _PNM_SAMPLE[header.maxval]
+    size = math.prod(shape) * sample.itemsize  # a Python int never overflows
+    if len(header.payload) != size:
+        raise FormatError(E_PGM_PAYLOAD, f"{path}: payload holds "
+                          f"{len(header.payload)} bytes, expected {size}")
+    return np.frombuffer(header.payload, sample).reshape(shape)
 
 
-def _sidecar_path(pgm_path) -> Path:
-    return Path(pgm_path).with_suffix(".json")
+def _write_pnm(path, codes: np.ndarray, maxval: int) -> None:
+    """(H, W) codes as P5, (H, W, 3) as P6, with `maxval`'s sample type."""
+    magic = "P5" if codes.ndim == 2 else "P6"
+    height, width = codes.shape[:2]
+    Path(path).write_bytes(f"{magic}\n{width} {height}\n{maxval}\n".encode()
+                           + codes.astype(_PNM_SAMPLE[maxval]).tobytes())
 
 
 _SIDECAR_FIELDS = {"schema_version", "cfa", "bit_depth", "black_level",
@@ -121,13 +133,11 @@ _SIDECAR_FIELDS = {"schema_version", "cfa", "bit_depth", "black_level",
 
 def read_raw(pgm_path, sidecar_path=None) -> BayerImage:
     """Load and normalize a RAW container (P5 maxval 65535 + JSON sidecar)."""
-    sidecar_path = Path(sidecar_path) if sidecar_path else _sidecar_path(pgm_path)
-    width, height, maxval, payload = _read_pnm(pgm_path, "P5")
-    if maxval != 65535:
-        raise FormatError(E_PGM_MAXVAL, f"{pgm_path}: maxval {maxval} != 65535")
-    if width % 2 or height % 2:
+    sidecar_path = Path(sidecar_path or Path(pgm_path).with_suffix(".json"))
+    header = _read_pnm(pgm_path, ("P5",), (65535,))
+    if header.width % 2 or header.height % 2:  # before the payload size
         raise FormatError(E_PGM_DIMS, f"{pgm_path}: dimensions must be even")
-    codes = _payload_u16(pgm_path, payload, width * height).reshape(height, width)
+    codes = _pnm_codes(pgm_path, header)
     try:
         sidecar = _load_json(sidecar_path)
     except FileNotFoundError:
@@ -157,21 +167,17 @@ def read_raw(pgm_path, sidecar_path=None) -> BayerImage:
 def write_raw(bayer: BayerImage, pgm_path, sidecar_path=None,
               sensor_name: str = "unknown") -> None:
     """Denormalize to integer codes (half away from zero) and write the pair."""
-    sidecar_path = Path(sidecar_path) if sidecar_path else _sidecar_path(pgm_path)
     span = bayer.white_level - bayer.black_level
-    codes = _round_half_away(bayer.black_level + bayer.data * span)
-    codes = codes.astype(np.uint16)
-    header = f"P5\n{bayer.width} {bayer.height}\n65535\n".encode()
-    Path(pgm_path).write_bytes(header + codes.astype(">u2").tobytes())
-    sidecar = {
+    _write_pnm(pgm_path, _round_half_away(bayer.black_level + bayer.data * span),
+               65535)
+    write_json({
         "schema_version": SCHEMA_VERSION,
         "cfa": bayer.cfa.value,
         "bit_depth": bayer.bit_depth,
         "black_level": bayer.black_level,
         "white_level": bayer.white_level,
         "sensor_name": sensor_name,
-    }
-    write_json(sidecar, sidecar_path)
+    }, sidecar_path or Path(pgm_path).with_suffix(".json"))
 
 
 def write_rgb(img: LinearRgbImage, path, mode: str = "linear16_ppm",
@@ -179,60 +185,34 @@ def write_rgb(img: LinearRgbImage, path, mode: str = "linear16_ppm",
     """linear16_ppm: P6/65535 of clamped linear values.
     display8_ppm: P6/255 after gamma encoding."""
     if mode == "linear16_ppm":
-        codes = _round_half_away(np.clip(img.data, 0.0, 1.0) * 65535.0)
-        payload = codes.astype(">u2").tobytes()
-        header = f"P6\n{img.width} {img.height}\n65535\n".encode()
+        _write_pnm(path, _round_half_away(np.clip(img.data, 0.0, 1.0) * 65535.0),
+                   65535)
     elif mode == "display8_ppm":
-        codes = encode_display(img, gamma=gamma)
-        payload = codes.tobytes()
-        header = f"P6\n{img.width} {img.height}\n255\n".encode()
+        _write_pnm(path, encode_display(img, gamma=gamma), 255)
     else:
         raise ParameterError(f"unknown rgb mode {mode!r}")
-    Path(path).write_bytes(header + payload)
 
 
 def read_rgb(path) -> LinearRgbImage:
     """Read a linear16 P6 back into a linear image."""
-    width, height, maxval, payload = _read_pnm(path, "P6")
-    if maxval != 65535:
-        raise FormatError(E_PGM_MAXVAL, f"{path}: maxval {maxval} != 65535")
-    codes = _payload_u16(path, payload, width * height * 3)
-    data = codes.reshape(height, width, 3).astype(np.float64) / 65535.0
-    return LinearRgbImage(data)
+    return LinearRgbImage(_pnm_codes(path, _read_pnm(path, ("P6",), (65535,)))
+                          / 65535.0)
 
 
 def write_gray8(gray: GrayImage, path) -> None:
-    codes = _round_half_away(np.clip(gray.data, 0.0, 1.0) * 255.0).astype(np.uint8)
-    h, w = gray.data.shape
-    Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode() + codes.tobytes())
-
-
-def _read_pnm_any_depth(path, magic, planes):
-    width, height, maxval, payload = _read_pnm(path, magic)
-    count = width * height * planes
-    if maxval == 65535:
-        codes = _payload_u16(path, payload, count)
-    elif maxval == 255:
-        if len(payload) != count:
-            raise FormatError(E_PGM_PAYLOAD, f"{path}: bad payload size")
-        codes = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
-    else:
-        raise FormatError(E_PGM_MAXVAL, f"{path}: maxval must be 255 or 65535")
-    shape = (height, width) if planes == 1 else (height, width, planes)
-    return codes.reshape(shape).astype(np.float64) / maxval
+    _write_pnm(path, _round_half_away(np.clip(gray.data, 0.0, 1.0) * 255.0), 255)
 
 
 def read_depth(path):
     """Relative depth from a bare P5 (maxval 255 or 65535), scaled to [0, 1]."""
-    return DepthMap(_read_pnm_any_depth(path, "P5", 1))
+    header = _read_pnm(path, ("P5",), (255, 65535))
+    return DepthMap(_pnm_codes(path, header) / header.maxval)
 
 
 def read_asset(path) -> np.ndarray:
     """Additive overlay layer (flare/snow) from P5 or P6, scaled to [0, 1]."""
-    magic = Path(path).read_bytes()[:2].decode(errors="replace")
-    if magic == "P6":
-        return _read_pnm_any_depth(path, "P6", 3)
-    return _read_pnm_any_depth(path, "P5", 1)
+    header = _read_pnm(path, ("P5", "P6"), (255, 65535))
+    return _pnm_codes(path, header) / header.maxval
 
 
 # ---------------------------------------------------------------- JSON layer

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, is_real
+from .errors import DimensionError, ParameterError, is_finite_real
 from .raw import BayerImage, LinearRgbImage, demosaic_bilinear, spatial_filter
 
 NILUT_HIDDEN_WIDTH = 32
@@ -179,7 +179,7 @@ class IspParams:
 
     def __post_init__(self):
         scalars = (self.g, self.r1, self.r2, self.theta, self.sigma, self.rho)
-        if not all(is_real(v) and math.isfinite(v) for v in scalars):
+        if not all(is_finite_real(v) for v in scalars):
             raise ParameterError("ISP parameters must be finite numbers")
         if self.g < 0:
             raise ParameterError("gain must be >= 0")

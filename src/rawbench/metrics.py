@@ -8,7 +8,7 @@ everything is normalized to fractions before any arithmetic.
 
 from dataclasses import dataclass
 
-from .errors import MetricError, ParameterError, is_real
+from .errors import MetricError, ParameterError, is_finite_real, is_real
 
 NORMAL_CONDITION = "normal"
 
@@ -30,8 +30,8 @@ class EvalRecord:
 
 def normalize_score(value: float) -> float:
     """Accept fractions or percents; anything in (1, 100] is divided by 100."""
-    if not is_real(value):
-        raise ParameterError(f"score {value!r} is not a number")
+    if not is_finite_real(value):
+        raise ParameterError(f"score {value!r} is not a number or not finite")
     if value > 1.0:
         value = value / 100.0
     if not 0.0 <= value <= 1.0:

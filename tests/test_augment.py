@@ -41,6 +41,20 @@ class TestTruncatedNormal:
         with pytest.raises(ParameterError):
             TruncatedNormal(0.0, 1.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize("params", [(100, 0.01, 0, 1), (0.0, 1.0, 3.0, 3.2),
+                                        (0.0, 1.0, -9.0, -5.0)])
+    def test_low_mass_is_rejected(self, params):
+        # rejection sampling would draw 1/mass normals per value on average
+        with pytest.raises(ParameterError, match="mass"):
+            TruncatedNormal(*params)
+
+    def test_mass_just_above_the_floor_is_accepted(self):
+        tn = TruncatedNormal(0.0, 1.0, 3.0, 4.0)  # mass 1.3e-3
+        rng = RngStream.from_seed(4)
+        vals = [sample_truncated_normal(tn, rng) for _ in range(5)]
+        assert min(vals) >= 3.0 and max(vals) <= 4.0
+        assert AugmentConfig() == CONFIG  # the default components still pass
+
 
 class TestBrightness:
     def test_scaling(self):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +109,7 @@ class TestCorruptSpec:
         ("sensor_matrix_a", {"matrix": [[1, 0, 0], [0, float("nan"), 0],
                                         [0, 0, 1]]}, "E_SCHEMA_VALUE"),
         ("low_light", [0.1], "E_SCHEMA_VALUE"),
+        ("sensor_noise", {"delta_r": 10**400}, "E_SCHEMA_VALUE"),
     ])
     def test_bad_override_is_rejected(self, tmp_path, raw_path, capsys,
                                       kind, params, code):
@@ -130,6 +135,7 @@ class TestCorruptSpec:
         ("sensor_noise", {"bits": 10, "delta_r": 0}),
         ("cmos_damage", {"dead_rows": 2, "hot_value": 1}),
         ("fog", {"a": 0.45, "beta": 1}),
+        ("sensor_noise", {"bits": 64}),
     ])
     def test_well_typed_override_is_applied(self, tmp_path, raw_path, kind,
                                             params):
@@ -140,6 +146,17 @@ class TestCorruptSpec:
                          str(_spec(tmp_path, kind, params=params)), "--depth",
                          str(depth), "--out", str(out)]) == cli.EXIT_OK
         assert out.exists()
+
+    @pytest.mark.parametrize("bits", [0, 65, 2000])
+    def test_bit_depth_outside_1_to_64_is_invalid(self, tmp_path, raw_path,
+                                                  capsys, bits):
+        # 2.0 ** (bits + 1) overflowed beyond 1023 bits (a traceback)
+        out = tmp_path / "out.ppm"
+        spec = _spec(tmp_path, "sensor_noise", params={"bits": bits})
+        assert cli.main(["corrupt", "--input", str(raw_path), "--spec",
+                         str(spec), "--out", str(out)]) == cli.EXIT_INVALID
+        assert "bit depth" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBenchManifest:
@@ -207,6 +224,7 @@ class TestAugmentConfig:
         {"brightness_mix": 2.0},
         {"blur_before_noise": "no"},
         {"brightness_dark": {"mu": "x", "sigma": 0.1, "lo": 0.0, "hi": 1.0}},
+        {"brightness_dark": {"mu": 10**400, "sigma": 0.1, "lo": 0.0, "hi": 1.0}},
     ])
     def test_bad_field_is_rejected(self, tmp_path, raw_path, capsys, fields):
         # every ill-typed or out-of-range field is a schema-value error
@@ -222,3 +240,21 @@ class TestAugmentConfig:
         formats.write_augment_config(aug.AugmentConfig(), config)
         assert self._run(tmp_path, raw_path, config) == cli.EXIT_OK
         assert len(list((tmp_path / "out").glob("*.ppm"))) == 8
+
+    def test_low_mass_component_exits_format_without_hanging(self, tmp_path,
+                                                            raw_path):
+        # N(100, 0.01) has no mass in [0, 1], so rejection sampling used to
+        # loop forever; a child process lets a timeout catch a hang
+        config = _write_json(tmp_path / "augment.json", {
+            "schema_version": 1, "prob_original": 0.0, "prob_brightness": 1.0,
+            "prob_chroma": 0.0, "prob_quality": 0.0, "brightness_mix": 1.0,
+            "brightness_dark": {"mu": 100, "sigma": 0.01, "lo": 0, "hi": 1}})
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        run = subprocess.run(
+            [sys.executable, "-m", "rawbench.cli", "augment", "--input",
+             str(raw_path), "--augment-config", str(config), "--n", "1",
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+        assert run.returncode == cli.EXIT_FORMAT
+        assert "E_SCHEMA_VALUE" in run.stderr and "mass" in run.stderr

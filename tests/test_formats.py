@@ -1,19 +1,21 @@
 """File formats through cli.main: a substitution matrix over every field of
-every reader's file, one crafted file per E_* code, writer/reader round
-trips, pinned writer bytes, and the inputs that used to end in a traceback
-or run when they should not."""
+every reader's file, one crafted file per E_* code, PNM header cases for
+every image reader, writer/reader round trips, pinned JSON and image writer
+bytes, and the inputs that used to end in a traceback or run when they
+should not."""
 
 import dataclasses
 import hashlib
 import json
 import math
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rawbench import GrayImage, cli, formats, isp
+from rawbench import GrayImage, cli, formats, isp, visualize_raw
 from rawbench import augment as aug
 from rawbench import corrupt as cor
 from rawbench.fit import (DEFAULT_BOUNDS, FIT_DIMS, LUT_DIMS, FitConfig,
@@ -142,7 +144,8 @@ def _matrix_rows():
 
 
 MATRIX = _matrix_rows()
-VALUES = (None, True, "1", [], {}, math.nan, math.inf, -math.inf, -1, 0.5)
+VALUES = (None, True, "1", [], {}, math.nan, math.inf, -math.inf, -1, 0.5,
+          10**400)  # an integer no float can hold
 # The types a field accepts beyond its base value's: an integer is a valid
 # number, and these fields also take null.
 WIDER = {"number": {"integer"}}
@@ -385,6 +388,39 @@ def test_image_round_trips(tmp_path):
     assert (tmp_path / "again.ppm").read_bytes() == rgb.read_bytes()
 
 
+def _write_images(tmp: Path) -> None:
+    """Every image writer's file, on non-square inputs (the RGB one spans
+    [-0.1, 1.1], so the writers clamp)."""
+    bayer = random_bayer(12, 16, seed=3)
+    rgb = random_rgb(10, 14, seed=7, lo=-0.1, hi=1.1)
+    formats.write_raw(bayer, tmp / "raw.pgm")  # and its sidecar raw.json
+    formats.write_rgb(rgb, tmp / "linear16.ppm")
+    formats.write_rgb(rgb, tmp / "display8.ppm", mode="display8_ppm", gamma=2.4)
+    formats.write_gray8(visualize_raw(bayer), tmp / "gray8.pgm")
+
+
+# SHA-256 of each image writer's file, hashed before the writers shared one
+# PNM encoder
+IMAGES_PINNED = {
+    "raw.pgm":
+        "0df71bd3d306c2a8f6917f2190d76aae844e3fa1100dc54e89a9cae6dab2422a",
+    "raw.json":
+        "ba08fbe3b5fae568aa7c8e609c34b573ece3ff2381afcaa3b6674276cdaab60e",
+    "linear16.ppm":
+        "e6a37cf8d853f7ddcef98733a95a9cd46b183af16a7f62a8a5f69fbd2c964abe",
+    "display8.ppm":
+        "b6dd19492537758d446dde850ea5ae8f14b9f98040719e9399268b7f8662c845",
+    "gray8.pgm":
+        "6043ec12e6af22802c42eb61df5e3f5ad2022643117849596a98f508e983dd22",
+}
+
+
+def test_image_writer_output_is_pinned(tmp_path):
+    _write_images(tmp_path)
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()} == IMAGES_PINNED
+
+
 def test_integer_where_a_float_is_expected(tmp_path):
     argv, targets = _build(tmp_path, "read_isp_params")
     path = targets[""]
@@ -523,3 +559,108 @@ def test_exit_code_table_order():
     assert table[formats.FormatError] == cli.EXIT_FORMAT
     assert table[OSError] == cli.EXIT_FORMAT
     assert [code for _, code in cli.EXIT_CODES] == [3, 4, 5, 5, 6, 4]
+
+
+# ------------------------------------------------------------ PNM headers
+
+def _pnm_input(tmp: Path, reader: str):
+    """argv (with --out) of a run in which `reader` reads one valid PNM
+    file, that file, and the file the run writes."""
+    raw, pnm, out = tmp / "scene.pgm", tmp / "image.pnm", tmp / "out"
+    formats.write_raw(random_bayer(16, 16, seed=12), raw)
+    if reader == "read_raw":
+        return ["develop", "--raw", str(raw), "--out", str(out)], raw, out
+    if reader == "read_rgb":
+        formats.write_rgb(random_rgb(16, 16, seed=4), pnm)
+        formats.write_fit_config(FitConfig(budget=2), tmp / "fit.json")
+        return ["fit", "--raw", str(raw), "--target", str(pnm), "--fit-config",
+                str(tmp / "fit.json"), "--out", str(out)], pnm, out / "params.json"
+    formats.write_gray8(GrayImage(random_rgb(16, 16, seed=5).data[..., 0]), pnm)
+    option, kind = {"read_depth": ("--depth", "fog"),
+                    "read_asset": ("--flare", "flare")}[reader]
+    return ["corrupt", "--input", str(raw), "--kind", kind, "--seed", "3",
+            option, str(pnm), "--out", str(out)], pnm, out
+
+
+def _plain(m, w, h, v, p):
+    return m + b"\n" + w + b" " + h + b"\n" + v + b"\n" + p
+
+
+def _other_magic(m, w, h, v, p, resize=False):
+    """The plain file under the other magic; with `resize` the payload fits
+    it (a P5 image becomes a gray P6, a P6 one keeps its first channel)."""
+    samples = np.frombuffer(p, f"V{1 if int(v) < 256 else 2}")
+    if m == b"P5":
+        m, samples = b"P6", np.repeat(samples, 3)
+    else:
+        m, samples = b"P5", samples[::3]
+    return _plain(m, w, h, v, samples.tobytes() if resize else p)
+
+
+# name -> (the E_* code every reader fails with, or None for exit 0 with the
+# plain file's output; the file from (magic, width, height, maxval, payload)).
+# The codes are those of the token loop the header regex replaced.
+PNM_HEADERS = {
+    "plain": (None, _plain),
+    "comment_between_every_pair": (None, lambda m, w, h, v, p:
+        m + b"#a\n" + w + b" #b\n" + h + b"\n# c d\n" + v + b"\n" + p),
+    "comment_lines_everywhere": (None, lambda m, w, h, v, p:
+        m + b"\n#1\n#2\n" + w + b"\n#3\n" + h + b"\n\n#4\n" + v + b"\n" + p),
+    "empty_comments": (None, lambda m, w, h, v, p:
+        m + b"#\n#\n" + w + b" " + h + b" #\n" + v + b"\n" + p),
+    "crlf_and_a_cr_inside_a_comment": (None, lambda m, w, h, v, p:
+        m + b"\r\n# c\r\n" + w + b" " + h + b"\r\n" + v + b"\n" + p),
+    "cr_vt_ff_separators": (None, lambda m, w, h, v, p:
+        m + b"\r" + w + b"\x0b" + h + b"\x0c" + v + b"\r" + p),
+    "vt_ends_the_header": (None, lambda m, w, h, v, p:
+        m + b" " + w + b" " + h + b" " + v + b"\x0b" + p),
+    "ff_ends_the_header": (None, lambda m, w, h, v, p:
+        m + b"\x0c" + w + b"\x0c" + h + b"\x0c" + v + b"\x0c" + p),
+    "signed_and_zero_padded_tokens": (None, lambda m, w, h, v, p:
+        m + b"\n+" + w + b" 00" + h + b"\n" + v + b"\n" + p),
+    "comment_after_maxval": ("E_PGM_PAYLOAD", lambda m, w, h, v, p:
+        _plain(m, w, h, v, b"#c\n" + p)),
+    "comment_without_newline": ("E_PGM_PAYLOAD", lambda m, w, h, v, p:
+        m + b"\n" + w + b" " + h + b"\n# no newline"),
+    "comment_without_newline_after_maxval": ("E_PGM_PAYLOAD", lambda m, w, h, v, p:
+        m + b"\n" + w + b" " + h + b" " + v + b" #"),
+    "hash_inside_width": ("E_PGM_DIMS", lambda m, w, h, v, p:
+        _plain(m, w + b"#x", h, v, p)),
+    "hash_inside_maxval": ("E_PGM_DIMS", lambda m, w, h, v, p:
+        _plain(m, w, h, v + b"#x", p)),
+    "no_byte_after_maxval": ("E_PGM_DIMS", lambda m, w, h, v, p:
+        m + b"\n" + w + b" " + h + b"\n" + v + p),
+    "magic_only": ("E_PGM_PAYLOAD", lambda m, w, h, v, p: m),
+    "truncated_after_width": ("E_PGM_PAYLOAD", lambda m, w, h, v, p:
+        m + b"\n" + w),
+    "lower_case_magic": ("E_PGM_MAGIC", lambda m, w, h, v, p:
+        _plain(m.lower(), w, h, v, p)),
+    "other_magic": ("E_PGM_MAGIC", _other_magic),
+    "other_magic_and_its_payload": ("E_PGM_MAGIC",
+                                    partial(_other_magic, resize=True)),
+}
+# read_asset takes either magic, so only the payload size can fail
+ASSET_CODES = {"other_magic": "E_PGM_PAYLOAD",
+               "other_magic_and_its_payload": None}
+PNM_READERS = ("read_raw", "read_rgb", "read_depth", "read_asset")
+
+
+@pytest.mark.parametrize("name", sorted(PNM_HEADERS))
+@pytest.mark.parametrize("reader", PNM_READERS)
+def test_pnm_header(tmp_path, capsys, reader, name):
+    argv, path, out = _pnm_input(tmp_path, reader)
+    assert cli.main(argv) == cli.EXIT_OK
+    plain = out.read_bytes()
+    out.unlink()
+    magic, dims, maxval, payload = path.read_bytes().split(b"\n", 3)
+    expected, header = PNM_HEADERS[name]
+    if reader == "read_asset":
+        expected = ASSET_CODES.get(name, expected)
+    path.write_bytes(header(magic, *dims.split(), maxval, payload))
+    capsys.readouterr()
+    if expected is None:
+        assert cli.main(argv) == cli.EXIT_OK
+        assert out.read_bytes() == plain
+    else:
+        assert cli.main(argv) == cli.EXIT_FORMAT
+        assert f"error: {expected}:" in capsys.readouterr().err
