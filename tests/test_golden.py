@@ -1,17 +1,20 @@
-"""Golden outputs: the SHA-256 of every `corrupt --sweep` output and of both
-mosaic corruptions on a synthetic RAW, pinned so that a refactor which
-changes a single output byte fails here. The RAW is built from
-`conftest.random_bayer`; no binary fixture is committed.
+"""Golden outputs: the SHA-256 of every `corrupt --sweep` output, of both
+mosaic corruptions and of `develop` (library output on every CFA, and the
+`--display8 --dump-stages` files) on synthetic RAWs, pinned so that a
+refactor which changes a single output byte fails here. The RAWs are built
+from `conftest.random_bayer`; no binary fixture is committed.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from rawbench import KINDS, cli, formats
+from rawbench import KINDS, CfaPattern, cli, formats, isp
 from rawbench.corrupt import CorruptionSpec, corrupt_bayer
+from rawbench.rng import RngStream
 
-from conftest import random_bayer
+from conftest import random_bayer, random_lut
 
 # kind -> (derived seed, SHA-256 of the linear16 PPM) for master seed 11
 SWEEP = {
@@ -87,3 +90,110 @@ def test_bench_replays_the_sweep_manifest(sweep, tmp_path):
                      "--raw", str(raw), "--out", str(tmp_path)]) == cli.EXIT_OK
     assert ((tmp_path / "hashes.txt").read_text()
             == (out / "hashes.txt").read_text())
+
+
+# --- develop goldens ---------------------------------------------------------
+#
+# SHA-256 of the float64 output of `isp.develop` on all four CFAs, with an
+# identity LUT and with a random NILUT, on two images: "bands" (200 x 148)
+# spans several row bands with a partial last one, and its 29,600 pixels are
+# not a multiple of NILUT_BLOCK_ROWS; "small" (10 x 14) is smaller than its
+# 21-tap kernel. Each CFA gets its own kernel, so the three filter paths of
+# `raw.spatial_filter` are all covered: 21 and 13 taps separable, 5 taps
+# direct, and a rotated 9-tap kernel through the FFT.
+
+# cfa -> (kernel size, theta) on the "bands" image
+DEVELOP_KERNELS = {
+    CfaPattern.RGGB: (21, 0.0),
+    CfaPattern.BGGR: (13, 0.0),
+    CfaPattern.GRBG: (5, 0.0),
+    CfaPattern.GBRG: (9, 0.4),
+}
+DEVELOP_IMAGES = {"bands": (200, 148), "small": (10, 14)}
+
+# (image, cfa, lut) -> SHA-256 of develop(...).data.tobytes()
+DEVELOP = {
+    ("bands", "RGGB", "identity"):
+        "b8f9402d96010cec9703f1fc82ebd290d3d3141f4e0ea23a9b5d198f250ad85d",
+    ("bands", "RGGB", "random"):
+        "5f35b43596f7ac813b0139d47f00cb9198b2b9140e52a4a7aefc7d8b804ff03a",
+    ("bands", "BGGR", "identity"):
+        "03a53510f859eb881e1593c83bf9726e90714458d2d56379b1d573393e291743",
+    ("bands", "BGGR", "random"):
+        "24158a6b4e400db474916d83082f3ad9d182fa4f3a8baed6032009fa2b115f56",
+    ("bands", "GRBG", "identity"):
+        "d74a9152f1b15109094f2106429cc639d01e6fa2fec4fa10fe4f0381d8f8adbc",
+    ("bands", "GRBG", "random"):
+        "08e6466371be0f2e02270eb63467f5bb3fac27c0b35b46c9eb91b8c2ec1960ae",
+    ("bands", "GBRG", "identity"):
+        "1ec4ca953da1c80d469f6a9e47c06f4fe57b1e1fda33a1f5bd0146f81a4ffa29",
+    ("bands", "GBRG", "random"):
+        "f1f5dafe60b09118ee1ef75c381898963fca67b09656052c07d857321b7cb542",
+    ("small", "RGGB", "identity"):
+        "1f9dec69e7da9f30a707a355adf33f16d005aa8fcdfe738ae0eed1ca759a5ed3",
+    ("small", "RGGB", "random"):
+        "8b4110708cbe5c7410fe7a5946722646d4897cc4b22c8d93db0ae5a33518b937",
+    ("small", "BGGR", "identity"):
+        "de3ed97423dcded0eef632e02b300e686c2af6bc4c716a7c61ad45d75f710a5d",
+    ("small", "BGGR", "random"):
+        "c4f2ce11cc3f57f1548b52b45793eab960b5563b92222ef69d15c161c4eabb70",
+    ("small", "GRBG", "identity"):
+        "86151f44c529b8431cd2496597317f0ac15a4d071e5bb342307be5a6f68520fa",
+    ("small", "GRBG", "random"):
+        "06e362a952a56faa752d21a39ad6b61fb7826dfc64b3477edf98d5f99261c045",
+    ("small", "GBRG", "identity"):
+        "9a2770d8db95261b904a220e2e6ea2b9a3c49bb139237333525421d621664659",
+    ("small", "GBRG", "random"):
+        "10451a393520da08b0df46cab2cb4a9927da271ccefc548cbe155e8649f26e46",
+}
+
+# file -> SHA-256 of `develop --display8 --dump-stages` on a 64 x 48 RAW
+DEVELOP_CLI = {
+    "out.ppm": "9683c91bc0995f507a8c4d3ff25c520620aa591758de86aee20b7151297b532c",
+    "color_corrected.ppm": "062641855972492b05890f9e99901f8aac768158e93fdde18b331095b2f44cd5",
+    "demosaiced.ppm": "9abc11c8252285b79858105ab7a778d0be8d088cd12d9af27465218b3c173745",
+    "denoised.ppm": "acc1c21d3cf020c172f03f50b579395bc5967c56caffda54487aa0ffded16c9f",
+    "final.ppm": "7d09fe4b91ad7bbc9dad53b6a985b1cc75b3769ecc6fb46e331ad6fdf4aa6fff",
+    "white_balanced.ppm": "c5ae63b3aba34b72d1e27e51dd32a36583daab4e7c18834939b6bfdd3ef24a5f",
+}
+
+
+def golden_params(seed: int, theta: float, lut: str) -> isp.IspParams:
+    u = RngStream.from_seed(seed).uniforms(14)
+    return isp.IspParams(
+        g=0.8 + 0.7 * u[0], r1=2.0 + 2.0 * u[1], r2=1.0 + u[2], theta=theta,
+        sigma=0.2 + 0.6 * u[3], rho=1.0 + 3.0 * u[4],
+        ccm=np.eye(3) + 0.1 * (u[5:14].reshape(3, 3) - 0.5),
+        lut=random_lut(seed + 1) if lut == "random" else isp.NilutWeights.identity())
+
+
+def develop_cases():
+    for image in DEVELOP_IMAGES:
+        for cfa in CfaPattern:
+            for lut in ("identity", "random"):
+                yield image, cfa.value, lut
+
+
+@pytest.mark.parametrize("image, cfa, lut", list(develop_cases()))
+def test_develop_output_matches_golden(image, cfa, lut):
+    cfa = CfaPattern(cfa)
+    h, w = DEVELOP_IMAGES[image]
+    size, theta = DEVELOP_KERNELS[cfa] if image == "bands" else (21, 0.0)
+    bayer = random_bayer(h, w, seed=20 + list(CfaPattern).index(cfa), cfa=cfa)
+    out = isp.develop(bayer, golden_params(30, theta, lut), kernel_size=size)
+    assert out.data.shape == (h, w, 3)
+    assert hashlib.sha256(out.data.tobytes()).hexdigest() == DEVELOP[(image, cfa.value, lut)]
+
+
+def test_develop_cli_outputs_match_golden(tmp_path):
+    raw = tmp_path / "scene.pgm"
+    params = tmp_path / "params.json"
+    formats.write_raw(random_bayer(64, 48, seed=25, cfa=CfaPattern.GRBG), raw)
+    formats.write_isp_params(golden_params(40, 0.0, "random"), params)
+    stages = tmp_path / "stages"
+    assert cli.main(["develop", "--raw", str(raw), "--params", str(params),
+                     "--kernel-size", "11", "--display8", "--dump-stages",
+                     str(stages), "--out", str(tmp_path / "out.ppm")]) == cli.EXIT_OK
+    files = [tmp_path / "out.ppm"] + sorted(stages.iterdir())
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+    assert got == DEVELOP_CLI
