@@ -31,7 +31,7 @@ from . import raw as rawmod
 from .errors import (DimensionError, FormatError, MetricError,
                      MissingDependencyError, ParameterError)
 from .fit import FitConfig, fit_isp_params
-from .rng import RngStream, derive_key
+from .rng import SEED_LIMIT, RngStream, derive_key
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -53,9 +53,15 @@ EXIT_CODES = (
 
 
 def _default_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    return int(os.environ.get("RAWBENCH_SEED", "0"))
+    if value is None:
+        text = os.environ.get("RAWBENCH_SEED", "0")
+        try:
+            value = int(text)
+        except ValueError:
+            raise ParameterError(f"RAWBENCH_SEED={text!r} is not an integer") from None
+    if not 0 <= value < SEED_LIMIT:
+        raise ParameterError(f"seed {value} outside [0, 2^64)")
+    return value
 
 
 def _load_input_rgb(path) -> rawmod.LinearRgbImage:

@@ -54,6 +54,7 @@ from .corrupt import KINDS, REGISTRY, CorruptionSpec, DepthMap
 from .augment import AugmentConfig, TruncatedNormal
 from .fit import FitConfig, FitTrace
 from .metrics import EvalRecord, RobustnessReport, normalize_score
+from .rng import SEED_LIMIT
 
 SCHEMA_VERSION = 1
 
@@ -74,7 +75,17 @@ E_CSV_VALUE = "E_CSV_VALUE"
 
 
 def _round_half_away(values: np.ndarray) -> np.ndarray:
-    return np.floor(values + 0.5)  # values are >= 0 everywhere we quantize
+    """floor(values + 0.5), in place: values are >= 0 everywhere we quantize."""
+    values += 0.5
+    return np.floor(values, out=values)
+
+
+def _quantize(values: np.ndarray, scale: float) -> np.ndarray:
+    """Codes round_half_away(clip(values, 0, 1) * scale), computed in one
+    float temporary."""
+    codes = np.clip(values, 0.0, 1.0)
+    codes *= scale
+    return _round_half_away(codes)
 
 
 # ---------------------------------------------------------------- PNM layer
@@ -123,8 +134,9 @@ def _write_pnm(path, codes: np.ndarray, maxval: int) -> None:
     """(H, W) codes as P5, (H, W, 3) as P6, with `maxval`'s sample type."""
     magic = "P5" if codes.ndim == 2 else "P6"
     height, width = codes.shape[:2]
-    Path(path).write_bytes(f"{magic}\n{width} {height}\n{maxval}\n".encode()
-                           + codes.astype(_PNM_SAMPLE[maxval]).tobytes())
+    with open(path, "wb") as f:
+        f.write(f"{magic}\n{width} {height}\n{maxval}\n".encode())
+        f.write(codes.astype(_PNM_SAMPLE[maxval]))
 
 
 _SIDECAR_FIELDS = {"schema_version", "cfa", "bit_depth", "black_level",
@@ -185,8 +197,7 @@ def write_rgb(img: LinearRgbImage, path, mode: str = "linear16_ppm",
     """linear16_ppm: P6/65535 of clamped linear values.
     display8_ppm: P6/255 after gamma encoding."""
     if mode == "linear16_ppm":
-        _write_pnm(path, _round_half_away(np.clip(img.data, 0.0, 1.0) * 65535.0),
-                   65535)
+        _write_pnm(path, _quantize(img.data, 65535.0), 65535)
     elif mode == "display8_ppm":
         _write_pnm(path, encode_display(img, gamma=gamma), 255)
     else:
@@ -200,7 +211,7 @@ def read_rgb(path) -> LinearRgbImage:
 
 
 def write_gray8(gray: GrayImage, path) -> None:
-    _write_pnm(path, _round_half_away(np.clip(gray.data, 0.0, 1.0) * 255.0), 255)
+    _write_pnm(path, _quantize(gray.data, 255.0), 255)
 
 
 def read_depth(path):
@@ -350,13 +361,17 @@ def write_corruption_spec(spec: CorruptionSpec, path) -> None:
     write_json(_to_json(spec, schema_version=SCHEMA_VERSION), path)
 
 
+def _check_seed(value, ctx: str) -> None:
+    if not (is_int(value) and 0 <= value < SEED_LIMIT):
+        raise FormatError(E_SCHEMA_VALUE, f"{ctx} must be an integer in [0, 2^64)")
+
+
 def _spec_from_json(obj, ctx: str) -> CorruptionSpec:
     """The kind, seed and params of a spec file or manifest entry."""
     kind = obj["kind"]
     if kind not in KINDS:
         raise FormatError(E_SCHEMA_VALUE, f"{ctx}: unknown kind {kind!r}")
-    if not is_int(obj["seed"]):
-        raise FormatError(E_SCHEMA_VALUE, f"{ctx}: seed must be an integer")
+    _check_seed(obj["seed"], f"{ctx}: seed")
     params = obj.get("params", {})
     validate_spec_params(kind, params, ctx=ctx)
     return CorruptionSpec(kind=kind, seed=obj["seed"], params=params)
@@ -400,8 +415,7 @@ def read_bench_manifest(path):
     obj = _load_json(path)
     _check_schema(obj, {"schema_version", "master_seed", "entries"}, set(),
                   str(path))
-    if not is_int(obj["master_seed"]):
-        raise FormatError(E_SCHEMA_VALUE, f"{path}: master_seed must be an integer")
+    _check_seed(obj["master_seed"], f"{path}: master_seed")
     if not isinstance(obj["entries"], list):
         raise FormatError(E_SCHEMA_VALUE, f"{path}: entries must be a list")
     entries, seen = [], set()

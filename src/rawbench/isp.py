@@ -5,21 +5,78 @@ query-attention forward pass that predicts stage parameters.
 
 Stage naming follows the processing order: the mosaic develops through
 demosaic -> gain/denoise/sharpen -> white balance -> CCM -> LUT.
+
+`develop` and `develop_linear` run that chain as two banded passes over
+one preallocated (H, W, 3) buffer, on a pool of WORKERS threads (numpy
+ufuncs, scipy.ndimage and OpenBLAS release the GIL), and their output is
+bit for bit the full-frame composition of the stage functions:
+
+- Halo. A band of BAND_ROWS rows reads `band_halo(k)` = k // 2 + 1 rows
+  beyond its own on each side, rounded up to even: the k-tap blur reaches
+  k // 2 demosaiced rows, each of which reads one mosaic row more, and an
+  even offset keeps the band on the frame's CFA phase. Only the band's own
+  rows are kept, so the mirrored border of a band slice is never used.
+  A kernel on the FFT path runs as one band, because the rounding of an
+  FFT depends on the length transformed.
+- Shades-of-Gray. Each band also writes its rows' channel powers; the
+  gains are their means over the whole frame, one np.mean per channel
+  over a contiguous (H, W) array, as on the full frame.
+- Block alignment. The colour pass (gains, CCM, LUT) runs over chunks of
+  COLOUR_BLOCKS whole NILUT blocks, so every block holds the pixels it
+  holds on the full frame. Block boundaries change bits: with 255-pixel
+  blocks, 39 to 65 of 8192 pixels came out different (five random LUTs).
+- OpenBLAS. Inside a block the 32-wide layers run as a stack of
+  NILUT_GEMM_ROWS = 256-row GEMMs: 256 x 32 x 32 = 262,144 multiply-adds
+  is OpenBLAS's cut-off for one thread, so the workers never compete with
+  OpenBLAS's own threads. The stack gives the bits of one 4096-row GEMM.
+  A full LUT on 1024^2 pixels (2-vCPU VM, OpenBLAS 0.3.31, median of 7):
+  682 ms from one thread, with OpenBLAS threading each 4096-row GEMM;
+  930 ms from two threads with the same GEMMs; 403 ms from two threads
+  with the stack.
+- Threads. WORKERS is the number of CPUs this process may run on
+  (`os.sched_getaffinity`); there is no option for it. Each task runs in a
+  copy of the caller's context, so `np.errstate` holds in the workers too.
 """
 
+import contextvars
 import math
-from dataclasses import dataclass, field
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError, is_finite_real
-from .raw import BayerImage, LinearRgbImage, demosaic_bilinear, spatial_filter
+from .raw import (BayerImage, LinearRgbImage, demosaic_bilinear, filter_path,
+                  spatial_filter)
 
 NILUT_HIDDEN_WIDTH = 32
 NILUT_LAYER_DIMS = (3, 32, 32, 32, 3)
 # Pixels per NILUT block: keeps the 32-wide activations cache-resident
 # instead of materializing several (H*W, 32) arrays.
 NILUT_BLOCK_ROWS = 4096
+# Rows per GEMM inside a block: 256 x 32 x 32 = 262,144 multiply-adds, at
+# OpenBLAS's cut-off for running a GEMM on one thread (module docstring).
+NILUT_GEMM_ROWS = 256
+# Rows per band of develop's spatial pass; even, so that every band starts
+# on the frame's CFA row pair.
+BAND_ROWS = 64
+# NILUT blocks per chunk of develop's colour pass.
+COLOUR_BLOCKS = 4
+# The images `develop` can return besides the final one, in chain order.
+STAGES = ("demosaiced", "denoised", "white_balanced", "color_corrected")
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+# Threads of develop's pool: the CPUs this process may run on.
+WORKERS = _usable_cpus()
 
 
 @dataclass(frozen=True)
@@ -210,27 +267,40 @@ def gain_denoise_sharpen(img: LinearRgbImage, g: float, kernel: Kernel2D,
     return LinearRgbImage(out)
 
 
-def sog_white_balance(img: LinearRgbImage, rho: float):
-    """Shades-of-Gray gains: m_i = ||channel i||_rho / ||all channels||_rho,
-    then scale each channel by m_i (the literal multiply-by-gain form).
+def _sog_powers(data: np.ndarray, rho: float, out: np.ndarray) -> None:
+    """out[c] = np.clip(data, 0, None)[..., c] ** rho. Elementwise, so row
+    bands of data fill row bands of out; `**` reads the strided channel view
+    of an (h, W, 3) array, as it does on the whole image."""
+    clipped = np.clip(data, 0.0, None)
+    for c in range(3):
+        out[c] = clipped[..., c] ** rho
 
-    Channel power means are combined as 3*p_i / (p_r + p_g + p_b), which is
-    the same ratio but keeps equal-channel images exact fixed points.
-    Negative values are clamped to 0 inside the power only; the scaled output
-    uses the unclamped image. Returns (image, (m_r, m_g, m_b)).
+
+def _sog_gains(power: np.ndarray, rho: float) -> tuple:
+    """Shades-of-Gray gains m_i = ||channel i||_rho / ||all channels||_rho
+    from the three (H, W) channel power arrays. Each mean sums a contiguous
+    (H, W) array in numpy's fixed pairwise order. The channel means are
+    combined as 3*p_i / (p_r + p_g + p_b), which is the same ratio but keeps
+    equal-channel images exact fixed points."""
+    powers = [float(np.mean(p)) for p in power]
+    total = (powers[0] + powers[1]) + powers[2]
+    if total == 0.0:
+        return (1.0, 1.0, 1.0)
+    return tuple((3.0 * p / total) ** (1.0 / rho) for p in powers)
+
+
+def sog_white_balance(img: LinearRgbImage, rho: float):
+    """Shades-of-Gray gains (`_sog_powers`, `_sog_gains`), then scale each
+    channel by its gain (the literal multiply-by-gain form). Negative values
+    are clamped to 0 inside the power only; the scaled output uses the
+    unclamped image. Returns (image, (m_r, m_g, m_b)).
     """
     if rho < 1.0:
         raise ParameterError("rho must be >= 1")
-    base = np.clip(img.data, 0.0, None)
-    # fixed row-major summation order (np.mean pairwise over contiguous data)
-    powers = [float(np.mean(base[..., c] ** rho)) for c in range(3)]
-    total = (powers[0] + powers[1]) + powers[2]
-    if total == 0.0:
-        gains = (1.0, 1.0, 1.0)
-    else:
-        gains = tuple((3.0 * p / total) ** (1.0 / rho) for p in powers)
-    out = img.data * np.array(gains)
-    return LinearRgbImage(out), gains
+    power = np.empty((3,) + img.data.shape[:2])
+    _sog_powers(img.data, rho, power)
+    gains = _sog_gains(power, rho)
+    return LinearRgbImage(img.data * np.array(gains)), gains
 
 
 def apply_ccm(img: LinearRgbImage, ccm: np.ndarray) -> LinearRgbImage:
@@ -248,7 +318,9 @@ def nilut_forward(img: LinearRgbImage, weights: NilutWeights) -> LinearRgbImage:
 
     An all-zero final weight matrix makes the MLP the constant b_last
     (h @ 0 is a signed zero), so that case is one add. Otherwise the MLP
-    runs over blocks of NILUT_BLOCK_ROWS pixels.
+    runs over blocks of NILUT_BLOCK_ROWS pixels, and a block whose length
+    is a multiple of NILUT_GEMM_ROWS runs as a stack of GEMMs of that many
+    rows (the same bits as one GEMM over the block; see NILUT_GEMM_ROWS).
     """
     flat = img.data.reshape(-1, 3)
     w_last, b_last = weights.layers[-1]
@@ -259,13 +331,16 @@ def nilut_forward(img: LinearRgbImage, weights: NilutWeights) -> LinearRgbImage:
         for start in range(0, flat.shape[0], NILUT_BLOCK_ROWS):
             block = flat[start:start + NILUT_BLOCK_ROWS]
             h = block
+            if len(block) % NILUT_GEMM_ROWS == 0:
+                h = block.reshape(-1, NILUT_GEMM_ROWS, 3)
             for w, b in weights.layers[:-1]:
                 h = h @ w
                 h += b
                 np.tanh(h, out=h)
             correction = h @ w_last
             correction += b_last
-            np.add(block, correction, out=out[start:start + NILUT_BLOCK_ROWS])
+            np.add(block, correction.reshape(-1, 3),
+                   out=out[start:start + NILUT_BLOCK_ROWS])
     return LinearRgbImage(out.reshape(img.height, img.width, 3))
 
 
@@ -326,21 +401,13 @@ def constrain_params(raw: np.ndarray, mode: str = "normal") -> IspParams:
 
 def develop_linear(rgb: LinearRgbImage, params: IspParams,
                    kernel_size: int | None = None, return_stages: bool = False):
-    """Post-demosaic chain: gain/denoise/sharpen -> WB -> CCM -> LUT."""
-    if kernel_size is None:
-        kernel_size = default_kernel_size(params.r1, params.r2)
-    kernel = make_gaussian_kernel(params.r1, params.r2, params.theta, kernel_size)
-    i_denoised = gain_denoise_sharpen(rgb, params.g, kernel, params.sigma)
-    i_balanced, _ = sog_white_balance(i_denoised, params.rho)
-    i_corrected = apply_ccm(i_balanced, params.ccm)
-    i_final = nilut_forward(i_corrected, params.lut)
-    if return_stages:
-        return i_final, {
-            "denoised": i_denoised,
-            "white_balanced": i_balanced,
-            "color_corrected": i_corrected,
-        }
-    return i_final
+    """Post-demosaic chain: gain/denoise/sharpen -> WB -> CCM -> LUT, run
+    as `develop` runs it. Returns the final image, or (final, stages) with
+    stages 'denoised'/'white_balanced'/'color_corrected'."""
+    final, stages = _develop(lambda lo, hi: LinearRgbImage(rgb.data[lo:hi]),
+                             rgb.data.shape[:2], params, kernel_size,
+                             STAGES[1:] if return_stages else ())
+    return (final, stages) if return_stages else final
 
 
 def develop(bayer: BayerImage, params: IspParams, kernel_size: int | None = None,
@@ -350,14 +417,111 @@ def develop(bayer: BayerImage, params: IspParams, kernel_size: int | None = None
     Returns the final image, or (final, stages) where stages maps
     'demosaiced'/'denoised'/'white_balanced'/'color_corrected' to the
     intermediate images.
+
+    The output is bit for bit demosaic_bilinear -> gain_denoise_sharpen ->
+    sog_white_balance -> apply_ccm -> nilut_forward on the whole frame, but
+    runs on WORKERS threads (see the module docstring):
+
+    1. spatial pass: each band of BAND_ROWS rows is demosaiced and denoised
+       from its rows plus `band_halo` rows on each side; its own rows go
+       into the output buffer and their Shades-of-Gray channel powers into
+       three (H, W) arrays;
+    2. the gains, from the means of those arrays (`_sog_gains`);
+    3. colour pass, in place: gains, CCM and LUT over chunks of
+       COLOUR_BLOCKS whole NILUT blocks.
+
+    With return_stages the same bands and chunks also fill one buffer per
+    stage. A non-finite value in any band or chunk raises ParameterError.
     """
-    i_demosaic = demosaic_bilinear(bayer)
-    if return_stages:
-        i_final, stages = develop_linear(i_demosaic, params, kernel_size,
-                                         return_stages=True)
-        stages = {"demosaiced": i_demosaic, **stages}
-        return i_final, stages
-    return develop_linear(i_demosaic, params, kernel_size)
+    final, stages = _develop(
+        lambda lo, hi: demosaic_bilinear(replace(bayer, data=bayer.data[lo:hi])),
+        bayer.data.shape, params, kernel_size, STAGES if return_stages else ())
+    return (final, stages) if return_stages else final
+
+
+def band_halo(kernel_size: int) -> int:
+    """Rows a band reads beyond its own on each side: the blur reaches
+    kernel_size // 2 rows of the demosaiced image, whose rows each read one
+    mosaic row more, rounded up to even so that every band starts on the
+    same CFA row pair as the frame."""
+    halo = kernel_size // 2 + 1
+    return halo + halo % 2
+
+
+def _develop(source, shape, params: IspParams, kernel_size, stage_names):
+    """The banded passes of `develop` on an image of shape (H, W).
+    source(lo, hi) is the image entering gain/denoise/sharpen, rows lo to
+    hi; stage_names selects the stage buffers to fill. Returns (final
+    image, {name: stage image})."""
+    if kernel_size is None:
+        kernel_size = default_kernel_size(params.r1, params.r2)
+    kernel = make_gaussian_kernel(params.r1, params.r2, params.theta, kernel_size)
+    height = shape[0]
+    out = np.empty(shape + (3,))
+    power = np.empty((3,) + shape)
+    stages = {name: np.empty_like(out) for name in stage_names}
+    flat = out.reshape(-1, 3)
+    halo = band_halo(kernel.size)
+    rows = height if filter_path(kernel.taps) == "fft" else BAND_ROWS
+
+    def spatial(start):
+        stop = min(start + rows, height)
+        lo, hi = max(start - halo, 0), min(stop + halo, height)
+        entering = source(lo, hi)
+        denoised = gain_denoise_sharpen(entering, params.g, kernel, params.sigma)
+        own = slice(start - lo, stop - lo)
+        out[start:stop] = denoised.data[own]
+        _sog_powers(denoised.data[own], params.rho, power[:, start:stop])
+        for name, img in (("demosaiced", entering), ("denoised", denoised)):
+            if name in stages:
+                stages[name][start:stop] = img.data[own]
+
+    chunk = COLOUR_BLOCKS * NILUT_BLOCK_ROWS
+
+    def colour(start):
+        pixels = slice(start, start + chunk)
+        balanced = LinearRgbImage((flat[pixels] * gains)[None])
+        corrected = apply_ccm(balanced, params.ccm)
+        final = nilut_forward(corrected, params.lut)
+        for name, img in (("white_balanced", balanced),
+                          ("color_corrected", corrected)):
+            if name in stages:
+                stages[name].reshape(-1, 3)[pixels] = img.data[0]
+        flat[pixels] = final.data[0]
+
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        _run(pool, spatial, range(0, height, rows))
+        gains = np.array(_sog_gains(power, params.rho))
+        del power  # freed before the colour pass
+        _run(pool, colour, range(0, len(flat), chunk))
+    return LinearRgbImage(out), {name: LinearRgbImage(stages[name])
+                                 for name in stage_names}
+
+
+def _run(pool: ThreadPoolExecutor, fn, items) -> None:
+    """fn(item) for every item, shared by WORKERS threads of `pool`: each
+    takes the next item when done with its last, so that a thread slowed
+    down by other work takes fewer. The threads run in a copy of the
+    caller's context (numpy's errstate is a context variable). The first
+    failure is raised here."""
+    todo = deque(items)  # popleft is thread-safe
+
+    def drain():
+        while todo:
+            try:
+                item = todo.popleft()
+            except IndexError:  # another thread took the last item
+                return
+            try:
+                fn(item)
+            except BaseException:
+                todo.clear()  # the other threads take no more items
+                raise
+
+    threads = [pool.submit(contextvars.copy_context().run, drain)
+               for _ in range(WORKERS)]
+    for thread in threads:
+        thread.result()
 
 
 def encode_display(img: LinearRgbImage, gamma: float = 2.2) -> np.ndarray:

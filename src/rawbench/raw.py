@@ -256,15 +256,27 @@ def spatial_filter(data: np.ndarray, taps: np.ndarray) -> np.ndarray:
         raise ParameterError("filter taps must be a finite 2-D array")
     if data.ndim not in (2, 3):
         raise DimensionError("filter input must be (H, W) or (H, W, C)")
-    factors = separable_factors(taps) if taps.size >= SEPARABLE_MIN_TAPS else None
-    if factors is not None:
-        column, row = factors
+    path = filter_path(taps)
+    if path == "separable":
+        column, row = separable_factors(taps)
         out = convolve1d(data, column, axis=0, mode=BORDER_MODE)
         return convolve1d(out, row, axis=1, mode=BORDER_MODE)
-    if np.count_nonzero(np.abs(taps) > EFFECTIVE_TAP) >= FFT_MIN_TAPS:
+    if path == "fft":
         return _fft_filter(data, taps)
     kernel = taps if data.ndim == 2 else taps[..., None]
     return convolve(data, kernel, mode=BORDER_MODE)
+
+
+def filter_path(taps: np.ndarray) -> str:
+    """The path `spatial_filter` takes for these taps: "separable", "fft"
+    or "direct". The separable and direct paths compute every output sample
+    from its own neighbourhood alone; the FFT path's rounding depends on the
+    whole transformed array."""
+    if taps.size >= SEPARABLE_MIN_TAPS and separable_factors(taps) is not None:
+        return "separable"
+    if np.count_nonzero(np.abs(taps) > EFFECTIVE_TAP) >= FFT_MIN_TAPS:
+        return "fft"
+    return "direct"
 
 
 # Interpolation kernels: green sits on a quincunx (cross neighbors), red/blue

@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+# Seeds are keys of 64 bits: _mix64 would fold a larger or negative seed
+# onto another seed's stream.
+SEED_LIMIT = 1 << 64
 _GOLDEN = 0x9E3779B97F4A7C15
 _STREAM_SALT = 0xD1B54A32D192ED03
 _INV_2_53 = 2.0 ** -53

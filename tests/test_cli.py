@@ -130,6 +130,43 @@ class TestCorruptSpec:
         assert "E_SCHEMA_VALUE" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 3 + 2**64, 10**400])
+    def test_seed_outside_64_bits_is_rejected(self, tmp_path, raw_path, capsys,
+                                              seed):
+        # the generator keys on 64 bits: 3 + 2**64 would replay seed 3
+        out = tmp_path / "out.ppm"
+        assert cli.main(["corrupt", "--input", str(raw_path), "--spec",
+                         str(_spec(tmp_path, seed=seed)), "--out",
+                         str(out)]) == cli.EXIT_FORMAT
+        assert "E_SCHEMA_VALUE" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_64_bit_seed_is_accepted(self, tmp_path, raw_path):
+        out = tmp_path / "out.ppm"
+        assert cli.main(["corrupt", "--input", str(raw_path), "--spec",
+                         str(_spec(tmp_path, seed=2**64 - 1)), "--out",
+                         str(out)]) == cli.EXIT_OK
+        assert out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_command_line_seed_outside_64_bits_is_invalid(self, tmp_path,
+                                                          raw_path, seed):
+        out = tmp_path / "out.ppm"
+        assert cli.main(["corrupt", "--input", str(raw_path), "--kind",
+                         "low_light", "--seed", seed, "--out",
+                         str(out)]) == cli.EXIT_INVALID
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["abc", "1.5", "-1", str(2**64)])
+    def test_bad_seed_environment_variable_is_invalid(self, tmp_path, raw_path,
+                                                      monkeypatch, seed):
+        # a traceback (exit 1) for a non-integer before
+        monkeypatch.setenv("RAWBENCH_SEED", seed)
+        out = tmp_path / "out.ppm"
+        assert cli.main(["corrupt", "--input", str(raw_path), "--kind",
+                         "low_light", "--out", str(out)]) == cli.EXIT_INVALID
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind, params", [
         ("sensor_matrix_a", {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1.5]]}),
         ("sensor_noise", {"bits": 10, "delta_r": 0}),
@@ -178,6 +215,13 @@ class TestBenchManifest:
         assert self._run(tmp_path, raw_path, manifest) == cli.EXIT_FORMAT
         assert "E_SCHEMA_VALUE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("master_seed", [-1, 2**64, 10**400])
+    def test_master_seed_outside_64_bits_is_rejected(self, tmp_path, raw_path,
+                                                     capsys, master_seed):
+        manifest = self._manifest(tmp_path, master_seed=master_seed)
+        assert self._run(tmp_path, raw_path, manifest) == cli.EXIT_FORMAT
+        assert "E_SCHEMA_VALUE" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry, code", [
         ({"seed": True}, "E_SCHEMA_VALUE"),
         ({"seed": 3.0}, "E_SCHEMA_VALUE"),
@@ -185,6 +229,9 @@ class TestBenchManifest:
         ({"params": {"l": "0.2"}}, "E_SCHEMA_VALUE"),
         ({"params": {"l": 7.0}}, "E_RANGE"),
         ({"params": "none"}, "E_SCHEMA_VALUE"),
+        ({"seed": -1}, "E_SCHEMA_VALUE"),
+        ({"seed": 3 + 2**64}, "E_SCHEMA_VALUE"),
+        ({"seed": 10**400}, "E_SCHEMA_VALUE"),
     ])
     def test_bad_entry_is_rejected(self, tmp_path, raw_path, capsys, entry,
                                    code):

@@ -1,0 +1,128 @@
+"""`develop` runs in row bands on a thread pool; its output must not depend
+on the band height or the number of workers. Every case is compared byte
+for byte with the full-frame composition of the stage functions."""
+
+import json
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rawbench import (CfaPattern, IspParams, LinearRgbImage, NilutWeights,
+                      apply_ccm, cli, demosaic_bilinear, develop,
+                      develop_linear, formats, gain_denoise_sharpen, isp,
+                      make_gaussian_kernel, nilut_forward, sog_white_balance)
+from rawbench.errors import ParameterError
+
+from conftest import random_bayer, random_lut, random_rgb
+
+
+def full_frame(bayer, params, kernel_size):
+    """(final, stages) of the stage functions applied to whole images."""
+    kernel = make_gaussian_kernel(params.r1, params.r2, params.theta, kernel_size)
+    demosaiced = demosaic_bilinear(bayer)
+    denoised = gain_denoise_sharpen(demosaiced, params.g, kernel, params.sigma)
+    balanced, _ = sog_white_balance(denoised, params.rho)
+    corrected = apply_ccm(balanced, params.ccm)
+    return nilut_forward(corrected, params.lut), {
+        "demosaiced": demosaiced, "denoised": denoised,
+        "white_balanced": balanced, "color_corrected": corrected}
+
+
+def params_for(u, theta, lut):
+    return IspParams(g=0.5 + 1.5 * u[0], r1=0.5 + 4.0 * u[1], r2=0.5 + 3.0 * u[2],
+                     theta=theta, sigma=0.05 + 0.9 * u[3], rho=1.0 + 4.0 * u[4],
+                     ccm=np.eye(3) + 0.2 * (u[5:14].reshape(3, 3) - 0.5),
+                     lut=random_lut(int(1e6 * u[14])) if lut else NilutWeights.identity())
+
+
+@settings(max_examples=60)
+@given(half_h=st.integers(1, 24), half_w=st.integers(1, 24),
+       cfa=st.sampled_from(list(CfaPattern)), kernel_size=st.sampled_from(range(1, 22, 2)),
+       theta=st.sampled_from([0.0, 0.0, 0.7]), lut=st.booleans(),
+       band_rows=st.sampled_from([2, 4, 6]), workers=st.sampled_from([1, 3]),
+       seed=st.integers(0, 2**16))
+def test_bands_and_workers_do_not_change_develop(half_h, half_w, cfa, kernel_size,
+                                                 theta, lut, band_rows, workers, seed):
+    bayer = random_bayer(2 * half_h, 2 * half_w, seed=seed, cfa=cfa)
+    u = np.random.default_rng(seed).random(15)
+    params = params_for(u, theta, lut)
+    with pytest.MonkeyPatch.context() as mp:
+        # small NILUT blocks, and so colour chunks, for the reference too
+        mp.setattr(isp, "NILUT_BLOCK_ROWS", 8)
+        final, stages = full_frame(bayer, params, kernel_size)
+        mp.setattr(isp, "BAND_ROWS", band_rows)
+        mp.setattr(isp, "WORKERS", workers)
+        got = develop(bayer, params, kernel_size=kernel_size)
+        got_final, got_stages = develop(bayer, params, kernel_size=kernel_size,
+                                        return_stages=True)
+        linear = develop_linear(stages["demosaiced"], params, kernel_size=kernel_size)
+    assert got.data.tobytes() == final.data.tobytes()
+    assert got_final.data.tobytes() == final.data.tobytes()
+    assert linear.data.tobytes() == final.data.tobytes()
+    assert list(got_stages) == list(stages)
+    for name, img in stages.items():
+        assert got_stages[name].data.tobytes() == img.data.tobytes(), name
+
+
+def test_many_workers_with_fast_thread_switching(monkeypatch):
+    # more workers than cores taking 2-row bands and 8-pixel chunks from one
+    # queue: a band or chunk lost or done twice changes the output
+    bayer = random_bayer(60, 34, seed=9, cfa=CfaPattern.GBRG)
+    params = params_for(np.random.default_rng(9).random(15), 0.0, True)
+    monkeypatch.setattr(isp, "NILUT_BLOCK_ROWS", 8)
+    final, _ = full_frame(bayer, params, 7)
+    monkeypatch.setattr(isp, "BAND_ROWS", 2)
+    monkeypatch.setattr(isp, "COLOUR_BLOCKS", 1)
+    monkeypatch.setattr(isp, "WORKERS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outputs = [develop(bayer, params, kernel_size=7) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    for out in outputs:
+        assert out.data.tobytes() == final.data.tobytes()
+
+
+def test_full_nilut_blocks_match_one_gemm_per_block(monkeypatch):
+    # 2 full blocks of 4096 pixels and a partial one of 3 * 256: the stacked
+    # 256-row GEMMs give the bits of the 4096-row GEMMs
+    img = random_rgb(10, 896, seed=3, lo=-0.2, hi=1.3)
+    lut = random_lut(17)
+    got = nilut_forward(img, lut)
+    monkeypatch.setattr(isp, "NILUT_GEMM_ROWS", 7)  # never divides a block
+    assert got.data.tobytes() == nilut_forward(img, lut).data.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_non_finite_result_in_a_worker_raises_parameter_error(monkeypatch, workers):
+    monkeypatch.setattr(isp, "BAND_ROWS", 4)
+    monkeypatch.setattr(isp, "WORKERS", workers)
+    params = IspParams(g=1e308, r1=1.0, r2=1.0, theta=0.0, sigma=0.5, rho=1.0,
+                       ccm=2.0 * np.eye(3))
+    bright = LinearRgbImage(4.0 * random_rgb(16, 12, seed=2).data)
+    # the caller's errstate reaches the workers: no overflow warning escapes
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ParameterError, match="non-finite"):
+            develop(random_bayer(16, 12, seed=1), params, kernel_size=3)  # colour pass
+        with pytest.raises(ParameterError, match="non-finite"):
+            develop_linear(bright, params, kernel_size=3)  # spatial pass
+
+
+def test_non_finite_result_exits_invalid(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(isp, "BAND_ROWS", 4)
+    monkeypatch.setattr(isp, "WORKERS", 3)
+    raw, params, out = tmp_path / "scene.pgm", tmp_path / "params.json", tmp_path / "out.ppm"
+    formats.write_raw(random_bayer(16, 12, seed=1), raw)
+    formats.write_isp_params(IspParams.identity(), params)
+    obj = json.loads(params.read_text())
+    obj.update(g=1e308, ccm=(2.0 * np.eye(3)).tolist())
+    params.write_text(json.dumps(obj))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["develop", "--raw", str(raw), "--params", str(params),
+                         "--out", str(out)])
+    assert code == cli.EXIT_INVALID
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
