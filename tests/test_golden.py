@@ -1,17 +1,22 @@
 """Golden outputs: the SHA-256 of every `corrupt --sweep` output, of both
-mosaic corruptions and of `develop` (library output on every CFA, and the
-`--display8 --dump-stages` files) on synthetic RAWs, pinned so that a
-refactor which changes a single output byte fails here. The RAWs are built
-from `conftest.random_bayer`; no binary fixture is committed.
+mosaic corruptions, of `develop` (library output on every CFA, and the
+`--display8 --dump-stages` files), of `augment` and of `fit` on synthetic
+RAWs, pinned so that a refactor which changes a single output byte fails
+here. The RAWs are built from `conftest.random_bayer`; no binary fixture is
+committed.
 """
 
+import csv
 import hashlib
 
 import numpy as np
 import pytest
 
 from rawbench import KINDS, CfaPattern, cli, formats, isp
+from rawbench.augment import AugmentConfig
 from rawbench.corrupt import CorruptionSpec, corrupt_bayer
+from rawbench.fit import FitConfig
+from rawbench.raw import filter_path
 from rawbench.rng import RngStream
 
 from conftest import random_bayer, random_lut
@@ -197,3 +202,147 @@ def test_develop_cli_outputs_match_golden(tmp_path):
     files = [tmp_path / "out.ppm"] + sorted(stages.iterdir())
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
     assert got == DEVELOP_CLI
+
+
+# --- augment goldens ---------------------------------------------------------
+#
+# SHA-256 of every file of `augment --n 8 --seed 12` on a 24 x 32 RAW, once
+# with the default config and once with a config that takes only the quality
+# branch and adds the noise before the blur. Between them the eight samples
+# take every branch, the iso and the aniso kernel, all three filter paths of
+# `raw.spatial_filter` and both noise orders (checked below, so that a
+# change of seed or config cannot drop one silently).
+
+AUGMENT_SEED = 12
+QUALITY_ONLY = dict(prob_original=0.0, prob_brightness=0.0, prob_chroma=0.0,
+                    prob_quality=1.0, blur_before_noise=False)
+
+# config -> {file: SHA-256}
+AUGMENT = {
+    "default": {
+        "coefficients.csv":
+            "41722006736bfbb4b14971a977ccf76387007b9945c9b30c86f18d439333fe72",
+        "scene_aug_0000.ppm":
+            "476e7dedc11734efa497cf0336999bf29866e001c8d7f78dd67ddea5d32daefe",
+        "scene_aug_0001.ppm":
+            "48e43bd2a5a305362c7c8f78fed4157faf2346b00ba27760811e78e890da137b",
+        "scene_aug_0002.ppm":
+            "9defc3c41f815d635e6e0b71d59576976ce5584a5f140c2fdcabadbe702659ce",
+        "scene_aug_0003.ppm":
+            "c14a1a590aa4bd4c4762ba1c9986561407882f4ca9f0cbc1465882f1d05419aa",
+        "scene_aug_0004.ppm":
+            "b8c2727411ca49257e1f7b9c76e3c3101527ea272752a9f99a48d81a41099c4c",
+        "scene_aug_0005.ppm":
+            "c0d649f884cb925a6e94a73c1c8c6738927fe691a3106881c5267d2525322958",
+        "scene_aug_0006.ppm":
+            "b56983f1d42d72988f372169d865358febf3ef64f9e06262c355badcc4616808",
+        "scene_aug_0007.ppm":
+            "60375d85b296509d882e430aca4fbadd054d2f9130df85206e69d45cb85743ba",
+    },
+    "quality": {
+        "coefficients.csv":
+            "c0cbaf3dc661d75a2d521891d529e2617fccb33e3f2d39aaef2ae12033b3891e",
+        "scene_aug_0000.ppm":
+            "649067bd09ec18a17723d3ea472789705569a7e248834dc183f732ac27248bce",
+        "scene_aug_0001.ppm":
+            "34239d7df8a4a01de1d443b96a3738cca9eef2f3db70d3c4db462d6ed28b34c1",
+        "scene_aug_0002.ppm":
+            "d5de4ca2cad788448e202d4a0f44c3350f4093c50e286b73d46efe4e1f4d7825",
+        "scene_aug_0003.ppm":
+            "fd0d88c0e41d5905bafb5fe696326da638e32366936fb1a45277fa9386be2e22",
+        "scene_aug_0004.ppm":
+            "f04cfb27c314b00421718a1df3c292f6f109be6a1dab197d8a4fe23e147c126c",
+        "scene_aug_0005.ppm":
+            "7723844625f1108e165006e648d564d5772e3dfbc100b2b3075f5c1962508dea",
+        "scene_aug_0006.ppm":
+            "62498a4aa8a9742d47b0437069fba5b92fa82eaec67ac1265340d84d533769b6",
+        "scene_aug_0007.ppm":
+            "afa304186968cb8346435c66a776775fad7f7e6ec36ab94033d14b1af7be6c1a",
+    },
+}
+
+
+def run_augment(root, config: str, out) -> int:
+    """`augment --n 8` on the golden RAW; returns the exit code."""
+    raw = root / "scene.pgm"
+    formats.write_raw(random_bayer(24, 32, seed=5), raw)
+    argv = ["augment", "--input", str(raw), "--n", "8", "--seed",
+            str(AUGMENT_SEED), "--out", str(out)]
+    if config == "quality":
+        formats.write_augment_config(AugmentConfig(**QUALITY_ONLY), root / "quality.json")
+        argv += ["--augment-config", str(root / "quality.json")]
+    return cli.main(argv)
+
+
+def file_hashes(directory) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.iterdir())}
+
+
+def sample_paths(coefficients) -> set:
+    """{(branch, kernel kind, filter path)} of the rows of a coefficients.csv."""
+    paths = set()
+    for row in csv.DictReader(coefficients.read_text().splitlines()):
+        if row["branch"] != "quality":
+            paths.add((row["branch"], "", ""))
+            continue
+        kernel = isp.make_gaussian_kernel(float(row["r1"]), float(row["r2"]),
+                                          float(row["angle"]), int(row["size"]))
+        paths.add(("quality", row["kind"], filter_path(kernel.taps)))
+    return paths
+
+
+@pytest.mark.parametrize("config", sorted(AUGMENT))
+def test_augment_outputs_match_golden(tmp_path, config):
+    assert run_augment(tmp_path, config, tmp_path / "out") == cli.EXIT_OK
+    assert file_hashes(tmp_path / "out") == AUGMENT[config]
+
+
+def test_augment_goldens_cover_every_branch_and_filter_path(tmp_path):
+    paths = set()
+    for config in AUGMENT:  # both noise orders: each config has quality samples
+        assert run_augment(tmp_path, config, tmp_path / config) == cli.EXIT_OK
+        config_paths = sample_paths(tmp_path / config / "coefficients.csv")
+        assert "quality" in {p[0] for p in config_paths}, config
+        paths |= config_paths
+    assert {p[0] for p in paths} == {"original", "brightness", "chroma", "quality"}
+    assert {p[1] for p in paths if p[0] == "quality"} == {"iso", "aniso"}
+    assert {p[2] for p in paths if p[0] == "quality"} == {"separable", "fft", "direct"}
+
+
+# --- fit goldens -------------------------------------------------------------
+#
+# SHA-256 of `params.json` and `trace.csv` from `fit --budget 50` with each
+# optimizer, on a 32 x 24 RAW and a target developed from it with other
+# parameters.
+
+# optimizer -> {file: SHA-256}
+FIT = {
+    "coordinate": {
+        "params.json":
+            "6dabcf7d2e52b745fb879db74f40209d85aa7b85fdf5957a73413c26d9d10835",
+        "trace.csv":
+            "c64d774ba573e79b740772383c00a6a0d89c21cef6323ffc8a9a37126b8dc32d",
+    },
+    "evolution": {
+        "params.json":
+            "18d8385a95d394de7863bdb09059fc35ff022cdaff10bd0bdf52476fa2a04884",
+        "trace.csv":
+            "453940e3a1ced75f88611b51eb8e00ffa90e8779af2e8c38f852bc15217fd390",
+    },
+}
+
+
+@pytest.mark.parametrize("optimizer", sorted(FIT))
+def test_fit_outputs_match_golden(tmp_path, optimizer):
+    raw, target, config = (tmp_path / name for name in
+                           ("scene.pgm", "target.ppm", "fit.json"))
+    bayer = random_bayer(32, 24, seed=31, cfa=CfaPattern.BGGR)
+    formats.write_raw(bayer, raw)
+    formats.write_rgb(isp.develop(bayer, golden_params(32, 0.0, "identity"),
+                                  kernel_size=13), target)
+    formats.write_fit_config(FitConfig(optimizer=optimizer, budget=50, seed=3), config)
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--raw", str(raw), "--target", str(target),
+                     "--fit-config", str(config), "--out", str(out)]) == cli.EXIT_OK
+    assert file_hashes(out) == FIT[optimizer]
