@@ -1,7 +1,9 @@
 """Command-line front end. Each subcommand is a thin validated wrapper over
-one library operation; all randomness flows from --seed (or RAWBENCH_SEED),
-and batch parallelism only ever spans whole images so --jobs never changes
-results.
+one library operation; all randomness flows from --seed (or RAWBENCH_SEED).
+`augment` spreads its samples over the CPUs the process may use, and
+`bench` and `corrupt --sweep` spread their entries over --jobs threads
+(`pool.parallel_map`). Each sample or entry draws from its own stream and
+writes its own file, so neither the thread count nor --jobs changes results.
 
 Exit codes (EXIT_CODES maps the errors; the first matching row wins):
   0  success
@@ -19,7 +21,6 @@ import argparse
 import hashlib
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import augment as aug
@@ -31,6 +32,7 @@ from . import raw as rawmod
 from .errors import (DimensionError, FormatError, MetricError,
                      MissingDependencyError, ParameterError)
 from .fit import FitConfig, fit_isp_params
+from .pool import parallel_map
 from .rng import SEED_LIMIT, RngStream, derive_key
 
 EXIT_OK = 0
@@ -119,7 +121,7 @@ def cmd_corrupt(args) -> int:
                    for i, k in enumerate(cor.KINDS)]
         jobs = [(image_id, spec, rgb, depth, flare, out_dir)
                 for _, spec in entries]
-        lines = _parallel_map(_run_entry, jobs, args.jobs)
+        lines = parallel_map(_run_entry, jobs, args.jobs)
         (out_dir / "hashes.txt").write_text("\n".join(lines) + "\n")
         fmt.write_bench_manifest(seed, entries, out_dir / "manifest.json")
         return EXIT_OK
@@ -148,13 +150,15 @@ def cmd_augment(args) -> int:
     stem = Path(args.input).stem
     columns = ["sample_index", "branch", "omega", "omega_r", "omega_g",
                "omega_b", "kind", "size", "angle", "r1", "r2", "awgn_sigma"]
-    rows = []
-    for i in range(args.n):
+
+    def sample(i):
+        """Sample i from its own stream; returns its coefficient row."""
         rng = RngStream.from_seed(seed, stream_index=i)
         out, branch, params = aug.augment_pipeline(rgb, config, rng)
         fmt.write_rgb(out, out_dir / f"{stem}_aug_{i:04d}.ppm")
-        rows.append([str(i), branch] + [str(params.get(c, ""))
-                                        for c in columns[2:]])
+        return [str(i), branch] + [str(params.get(c, "")) for c in columns[2:]]
+
+    rows = parallel_map(sample, range(args.n))
     lines = [",".join(columns)] + [",".join(r) for r in rows]
     (out_dir / "coefficients.csv").write_text("\n".join(lines) + "\n")
     return EXIT_OK
@@ -181,7 +185,7 @@ def cmd_bench(args) -> int:
 
     jobs = [(image_id, spec, rgb_for(image_id), depth, flare, out_dir)
             for image_id, spec in entries]
-    lines = _parallel_map(_run_entry, jobs, args.jobs)
+    lines = parallel_map(_run_entry, jobs, args.jobs)
     (out_dir / "hashes.txt").write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -216,13 +220,6 @@ def cmd_report(args) -> int:
     (out_dir / "report.txt").write_text(table)
     print(table, end="")
     return EXIT_OK
-
-
-def _parallel_map(fn, jobs, n_jobs):
-    if n_jobs and n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(j) for j in jobs]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,9 +7,9 @@ Stage naming follows the processing order: the mosaic develops through
 demosaic -> gain/denoise/sharpen -> white balance -> CCM -> LUT.
 
 `develop` and `develop_linear` run that chain as two banded passes over
-one preallocated (H, W, 3) buffer, on a pool of WORKERS threads (numpy
-ufuncs, scipy.ndimage and OpenBLAS release the GIL), and their output is
-bit for bit the full-frame composition of the stage functions:
+one preallocated (H, W, 3) buffer, on the package's thread pool, and
+their output is bit for bit the full-frame composition of the stage
+functions:
 
 - Halo. A band of BAND_ROWS rows reads `band_halo(k)` = k // 2 + 1 rows
   beyond its own on each side, rounded up to even: the k-tap blur reaches
@@ -33,21 +33,19 @@ bit for bit the full-frame composition of the stage functions:
   682 ms from one thread, with OpenBLAS threading each 4096-row GEMM;
   930 ms from two threads with the same GEMMs; 403 ms from two threads
   with the stack.
-- Threads. WORKERS is the number of CPUs this process may run on
-  (`os.sched_getaffinity`); there is no option for it. Each task runs in a
-  copy of the caller's context, so `np.errstate` holds in the workers too.
+- Threads. Both passes go through `pool.parallel_map` on `pool.WORKERS`
+  threads, the CPUs this process may run on; there is no option for it.
+  Each band or chunk runs in a copy of the caller's context, so
+  `np.errstate` holds in the workers too.
 """
 
-import contextvars
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError, is_finite_real
+from .pool import parallel_map
 from .raw import (BayerImage, LinearRgbImage, demosaic_bilinear, filter_path,
                   spatial_filter)
 
@@ -66,17 +64,6 @@ BAND_ROWS = 64
 COLOUR_BLOCKS = 4
 # The images `develop` can return besides the final one, in chain order.
 STAGES = ("demosaiced", "denoised", "white_balanced", "color_corrected")
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-# Threads of develop's pool: the CPUs this process may run on.
-WORKERS = _usable_cpus()
 
 
 @dataclass(frozen=True)
@@ -420,7 +407,7 @@ def develop(bayer: BayerImage, params: IspParams, kernel_size: int | None = None
 
     The output is bit for bit demosaic_bilinear -> gain_denoise_sharpen ->
     sog_white_balance -> apply_ccm -> nilut_forward on the whole frame, but
-    runs on WORKERS threads (see the module docstring):
+    runs on `pool.WORKERS` threads (see the module docstring):
 
     1. spatial pass: each band of BAND_ROWS rows is demosaiced and denoised
        from its rows plus `band_halo` rows on each side; its own rows go
@@ -489,44 +476,21 @@ def _develop(source, shape, params: IspParams, kernel_size, stage_names):
                 stages[name].reshape(-1, 3)[pixels] = img.data[0]
         flat[pixels] = final.data[0]
 
-    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-        _run(pool, spatial, range(0, height, rows))
-        gains = np.array(_sog_gains(power, params.rho))
-        del power  # freed before the colour pass
-        _run(pool, colour, range(0, len(flat), chunk))
+    parallel_map(spatial, range(0, height, rows))
+    gains = np.array(_sog_gains(power, params.rho))
+    del power  # freed before the colour pass
+    parallel_map(colour, range(0, len(flat), chunk))
     return LinearRgbImage(out), {name: LinearRgbImage(stages[name])
                                  for name in stage_names}
 
 
-def _run(pool: ThreadPoolExecutor, fn, items) -> None:
-    """fn(item) for every item, shared by WORKERS threads of `pool`: each
-    takes the next item when done with its last, so that a thread slowed
-    down by other work takes fewer. The threads run in a copy of the
-    caller's context (numpy's errstate is a context variable). The first
-    failure is raised here."""
-    todo = deque(items)  # popleft is thread-safe
-
-    def drain():
-        while todo:
-            try:
-                item = todo.popleft()
-            except IndexError:  # another thread took the last item
-                return
-            try:
-                fn(item)
-            except BaseException:
-                todo.clear()  # the other threads take no more items
-                raise
-
-    threads = [pool.submit(contextvars.copy_context().run, drain)
-               for _ in range(WORKERS)]
-    for thread in threads:
-        thread.result()
-
-
 def encode_display(img: LinearRgbImage, gamma: float = 2.2) -> np.ndarray:
-    """Clamp, apply encoding gamma, quantize to uint8 (half away from zero)."""
+    """Clamp, apply encoding gamma, quantize to uint8 (half away from zero),
+    in one float temporary."""
     if gamma <= 0:
         raise ParameterError("gamma must be positive")
-    v = np.clip(img.data, 0.0, 1.0) ** (1.0 / gamma)
-    return np.floor(v * 255.0 + 0.5).astype(np.uint8)
+    v = np.clip(img.data, 0.0, 1.0)
+    v **= 1.0 / gamma  # `**` in place, with its fast paths for 2 and 0.5
+    v *= 255.0
+    v += 0.5
+    return np.floor(v, out=v).astype(np.uint8)

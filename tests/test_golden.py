@@ -12,12 +12,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from rawbench import KINDS, CfaPattern, cli, formats, isp
+from rawbench import KINDS, CfaPattern, cli, formats, isp, pool
+from rawbench import augment as aug
 from rawbench.augment import AugmentConfig
 from rawbench.corrupt import CorruptionSpec, corrupt_bayer
+from rawbench.errors import ParameterError
 from rawbench.fit import FitConfig
 from rawbench.raw import filter_path
-from rawbench.rng import RngStream
+from rawbench.rng import RngStream, derive_key
 
 from conftest import random_bayer, random_lut
 
@@ -308,6 +310,32 @@ def test_augment_goldens_cover_every_branch_and_filter_path(tmp_path):
     assert {p[0] for p in paths} == {"original", "brightness", "chroma", "quality"}
     assert {p[1] for p in paths if p[0] == "quality"} == {"iso", "aniso"}
     assert {p[2] for p in paths if p[0] == "quality"} == {"separable", "fft", "direct"}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_workers_do_not_change_augment(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(pool, "WORKERS", workers)
+    for config in AUGMENT:
+        assert run_augment(tmp_path, config, tmp_path / config) == cli.EXIT_OK
+        assert file_hashes(tmp_path / config) == AUGMENT[config]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_failed_augment_sample_writes_no_coefficients(tmp_path, monkeypatch,
+                                                      capsys, workers):
+    pipeline = aug.augment_pipeline
+
+    def fail_sample_5(x, config, rng):
+        if rng.key == derive_key(AUGMENT_SEED, 5):
+            raise ParameterError("sample 5 failed")
+        return pipeline(x, config, rng)
+
+    monkeypatch.setattr(pool, "WORKERS", workers)
+    monkeypatch.setattr(aug, "augment_pipeline", fail_sample_5)
+    assert run_augment(tmp_path, "default", tmp_path / "out") == cli.EXIT_INVALID
+    assert "sample 5 failed" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "coefficients.csv").exists()
+    assert not (tmp_path / "out" / "scene_aug_0005.ppm").exists()
 
 
 # --- fit goldens -------------------------------------------------------------

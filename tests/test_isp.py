@@ -518,3 +518,15 @@ class TestEncodeDisplay:
         img = LinearRgbImage(np.array([[[-0.5, 1.5, 0.2]]]))
         out = encode_display(img, gamma=1.0)
         assert out[0, 0, 0] == 0 and out[0, 0, 1] == 255
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 2.2, 2.4])
+    def test_matches_the_formula_on_whole_arrays(self, gamma):
+        # the in-place steps give the codes of the formula written out,
+        # including the exponents 2, 1 and 0.5 that `**` treats specially
+        img = random_rgb(64, 48, seed=8, lo=-0.2, hi=1.2)
+        data = img.data.copy()
+        expected = np.floor(np.clip(data, 0.0, 1.0) ** (1.0 / gamma) * 255.0 + 0.5)
+        out = encode_display(img, gamma=gamma)
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, expected.astype(np.uint8))
+        assert np.array_equal(img.data, data)  # the input is left alone
