@@ -5,10 +5,10 @@ parameter fitting."""
 from .raw import (BayerImage, CfaPattern, GrayImage, LinearRgbImage,
                   demosaic_bilinear, mosaic, normalize_raw, spatial_filter,
                   visualize_raw)
-from .isp import (IspParams, Kernel2D, NilutWeights, QalWeights, apply_ccm,
+from .isp import (IspParams, Kernel2D, NilutWeights, apply_ccm,
                   constrain_params, develop, develop_linear, encode_display,
                   gain_denoise_sharpen, make_gaussian_kernel, nilut_forward,
-                  qal_forward, sog_white_balance)
+                  sog_white_balance)
 from .corrupt import (CorruptionSpec, DepthMap, KINDS, NoiseModel,
                       apply_corruption)
 from .augment import AugmentConfig, TruncatedNormal, augment_pipeline

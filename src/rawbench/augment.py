@@ -169,12 +169,17 @@ def sample_quality_params(config: AugmentConfig, rng: RngStream) -> dict:
 def augment_quality(x: LinearRgbImage, config: AugmentConfig, rng: RngStream):
     p = sample_quality_params(config, rng)
     kernel = make_gaussian_kernel(p["r1"], p["r2"], p["angle"], p["size"])
-    blurred = spatial_filter(x.data, kernel.taps)
-    noise = p["awgn_sigma"] * rng.normals(x.data.size).reshape(x.data.shape)
+
+    def noise():
+        return p["awgn_sigma"] * rng.normals(x.data.size).reshape(x.data.shape)
+
+    # The blur draws no random numbers, so both orders draw the same noise.
+    # Blur-first draws it after the blur, so that the filter's temporaries
+    # and the noise are not held at once.
     if config.blur_before_noise:
-        out = blurred + noise
+        out = spatial_filter(x.data, kernel.taps) + noise()
     else:
-        out = spatial_filter(x.data + noise, kernel.taps)
+        out = spatial_filter(x.data + noise(), kernel.taps)
     return LinearRgbImage(out), p
 
 

@@ -8,7 +8,7 @@ writes its own file, so neither the thread count nor --jobs changes results.
 Exit codes (EXIT_CODES maps the errors; the first matching row wins):
   0  success
   2  usage: a bad option (argparse), corrupt without --spec or --kind,
-     augment --n below 1
+     augment --n below 1, corrupt or bench --jobs below 1
   3  MissingDependencyError: a required side input was not supplied
   4  FormatError: a file failed validation (formats.E_* codes)
   5  ParameterError, DimensionError: invalid parameters or dimensions
@@ -109,6 +109,9 @@ def _run_entry(entry_args):
 
 
 def cmd_corrupt(args) -> int:
+    if args.jobs < 1:
+        print("corrupt: --jobs must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     rgb = _load_input_rgb(args.input)
     depth = fmt.read_depth(args.depth) if args.depth else None
     flare = fmt.read_asset(args.flare) if args.flare else None
@@ -165,6 +168,9 @@ def cmd_augment(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:
+        print("bench: --jobs must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     master_seed, entries = fmt.read_bench_manifest(args.manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -26,6 +26,9 @@ from .errors import (DimensionError, MissingDependencyError, ParameterError,
 from .raw import BayerImage, LinearRgbImage, spatial_filter
 from .rng import RngStream
 
+# Radial spikes in the procedural flare layer.
+FLARE_SPIKES = 6
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -154,9 +157,9 @@ def _line_coverage(h: int, w: int, cx: float, cy: float, length: float,
 
 
 def rain_layer(h: int, w: int, count: int, length: float, angle: float,
-               width: float, intensity: float, rng: RngStream,
-               angle_jitter: float = 0.05) -> np.ndarray:
-    """Sum of anti-aliased streaks at jittered angles, positions uniform."""
+               width: float, intensity: float, rng: RngStream) -> np.ndarray:
+    """Sum of anti-aliased streaks at angles jittered by up to 0.05 rad,
+    positions uniform."""
     if count < 0 or intensity < 0:
         raise ParameterError("count and intensity must be >= 0")
     layer = np.zeros((h, w))
@@ -164,7 +167,7 @@ def rain_layer(h: int, w: int, count: int, length: float, angle: float,
         u = rng.uniforms(3)
         cx = u[0] * w
         cy = u[1] * h
-        a = angle + (u[2] * 2.0 - 1.0) * angle_jitter
+        a = angle + (u[2] * 2.0 - 1.0) * 0.05
         layer += intensity * _line_coverage(h, w, cx, cy, length, a, width)
     return layer
 
@@ -186,9 +189,9 @@ def corrupt_rain_fog(x: LinearRgbImage, count: int, length: float, angle: float,
 
 
 def snow_mask(h: int, w: int, rng: RngStream, cell: int = 12,
-              coverage: float = 0.4, flake_count: int = 60,
-              flake_radius: float = 1.5) -> np.ndarray:
-    """Blotchy value-noise mask in [0, 1] plus small disc flakes."""
+              coverage: float = 0.4, flake_count: int = 60) -> np.ndarray:
+    """Blotchy value-noise mask in [0, 1] plus small disc flakes of radius
+    0.75 to 2.25."""
     gh, gw = h // cell + 2, w // cell + 2
     grid = rng.uniforms(gh * gw).reshape(gh, gw)
     ys = np.arange(h) / cell
@@ -208,7 +211,7 @@ def snow_mask(h: int, w: int, rng: RngStream, cell: int = 12,
     for _ in range(flake_count):
         u = rng.uniforms(3)
         cx, cy = u[0] * w, u[1] * h
-        r = flake_radius * (0.5 + u[2])
+        r = 1.5 * (0.5 + u[2])
         y0, y1 = max(int(cy - r - 1), 0), min(int(cy + r + 2), h)
         x0, x1 = max(int(cx - r - 1), 0), min(int(cx + r + 2), w)
         if y0 >= y1 or x0 >= x1:
@@ -396,9 +399,9 @@ def procedural_depth(h: int, w: int, seed: int) -> DepthMap:
     return DepthMap(depth / depth.max())
 
 
-def procedural_flare(h: int, w: int, seed: int, peak: float = 0.8,
-                     spikes: int = 6) -> np.ndarray:
-    """Fallback flare layer: Gaussian glow plus radial spikes, seeded."""
+def procedural_flare(h: int, w: int, seed: int, peak: float = 0.8) -> np.ndarray:
+    """Fallback flare layer: Gaussian glow plus FLARE_SPIKES radial spikes,
+    seeded."""
     rng = RngStream.from_seed(seed, stream_index=102)
     u = rng.uniforms(3)
     cx, cy = u[0] * w, u[1] * h
@@ -410,8 +413,8 @@ def procedural_flare(h: int, w: int, seed: int, peak: float = 0.8,
     base_angle = rng.uniform(0, np.pi)
     theta = np.arctan2(ry, rx)
     r = np.sqrt(r2)
-    for i in range(spikes):
-        a = base_angle + i * np.pi / spikes
+    for i in range(FLARE_SPIKES):
+        a = base_angle + i * np.pi / FLARE_SPIKES
         angular = np.cos(theta - a) ** 2
         layer += 0.3 * peak * (angular ** 24) * np.exp(-r / (0.5 * max(h, w)))
     return layer

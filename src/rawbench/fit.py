@@ -1,10 +1,10 @@
 """Derivative-free fitting of pipeline parameters against a target image.
 
-The search space is the unconstrained predictor vector (kernel-side gain,
-radius biases, sharpen logit; matrix-side rho pre-activation and 9 CCM
-biases) with the fixed kernel-angle slot excluded: 14 dimensions, mapped
-through constrain_params before every evaluation so only valid parameter
-sets are ever developed. LUT weights stay at identity unless the config
+The search space is the unconstrained parameter vector of
+`isp.constrain_params` (gain bias, radius biases, sharpen logit, rho
+pre-activation and 9 CCM biases): 14 dimensions, mapped through
+constrain_params before every evaluation so only valid parameter sets are
+ever developed. LUT weights stay at identity unless the config
 enables the 3-dim output-bias perturbation.
 
 One LossEvaluator, built once per fit, scores every search vector. It
@@ -35,19 +35,19 @@ range images), up to about 1e-12 relative at the losses a fit meets.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError, is_finite_real, is_int
-from .isp import (IspParams, RAW_PARAM_LEN, THETA_SLOT, constrain_params,
+from .isp import (PARAM_DIMS, IspParams, constrain_params,
                   gain_denoise_sharpen, make_gaussian_kernel,
                   sog_white_balance)
 from .raw import BayerImage, LinearRgbImage, demosaic_bilinear
 from .rng import RngStream
 
-FIT_DIMS = RAW_PARAM_LEN - 1  # theta slot excluded
+FIT_DIMS = PARAM_DIMS
 LUT_DIMS = 3
 
 DEFAULT_BOUNDS = (
@@ -137,17 +137,13 @@ def image_loss(a: LinearRgbImage, b: LinearRgbImage, kind: str = "l1") -> float:
 
 
 def vector_to_params(vector: np.ndarray, fit_lut: bool = False) -> IspParams:
-    """Insert the fixed angle slot and constrain into valid parameters."""
+    """Constrain a search vector into valid parameters; with fit_lut, its
+    last LUT_DIMS entries are the LUT's output bias."""
     vector = np.asarray(vector, dtype=np.float64)
-    base = vector[:FIT_DIMS]
-    raw = np.insert(base, THETA_SLOT, 0.0)
-    assert raw.shape == (RAW_PARAM_LEN,)
-    params = constrain_params(raw, mode="normal")
+    params = constrain_params(vector[:FIT_DIMS])
     if fit_lut:
         lut = params.lut.with_output_bias(vector[FIT_DIMS:FIT_DIMS + LUT_DIMS])
-        params = IspParams(g=params.g, r1=params.r1, r2=params.r2,
-                           theta=params.theta, sigma=params.sigma,
-                           rho=params.rho, ccm=params.ccm, lut=lut)
+        params = replace(params, lut=lut)
     return params
 
 
@@ -312,21 +308,3 @@ def fit_isp_params(bayer: BayerImage, target: LinearRgbImage,
                             config.init_step, config.population, rng)
     return vector_to_params(evaluator.best_vector, config.fit_lut), trace
 
-
-def finite_difference_sensitivity(bayer: BayerImage, target: LinearRgbImage,
-                                  vector: np.ndarray, index: int, step: float,
-                                  config: FitConfig | None = None) -> float:
-    """Central difference of the fit loss along one search dimension."""
-    if step <= 0:
-        raise ParameterError("step must be positive")
-    config = config or FitConfig()
-    bounds = config.resolved_bounds()
-    vector = np.asarray(vector, dtype=np.float64)
-    lo, hi = bounds[index]
-    if vector[index] - step < lo or vector[index] + step > hi:
-        raise ParameterError("central difference leaves the feasible box")
-    loss_at = LossEvaluator(demosaic_bilinear(bayer), target, config)
-    plus, minus = vector.copy(), vector.copy()
-    plus[index] += step
-    minus[index] -= step
-    return (loss_at(plus) - loss_at(minus)) / (2.0 * step)

@@ -1,7 +1,7 @@
 """Parametric ISP stages: gain + anisotropic Gaussian denoise with a sharpen
 blend, Shades-of-Gray white balance with an adaptive Minkowski exponent,
-color correction matrix, a residual implicit-MLP color LUT, and the
-query-attention forward pass that predicts stage parameters.
+color correction matrix and a residual implicit-MLP color LUT, plus the
+map from an unconstrained parameter vector onto valid stage parameters.
 
 Stage naming follows the processing order: the mosaic develops through
 demosaic -> gain/denoise/sharpen -> white balance -> CCM -> LUT.
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, is_finite_real
+from .errors import ParameterError, is_finite_real
 from .pool import parallel_map
 from .raw import (BayerImage, LinearRgbImage, demosaic_bilinear, filter_path,
                   spatial_filter)
@@ -126,12 +126,12 @@ def gaussian_coefficients(r1: float, r2: float, theta: float):
     return b0, b1, b2
 
 
-def default_kernel_size(r1: float, r2: float, cap: int = 21) -> int:
-    """Support rule: 2*ceil(2*max(r1, r2)) + 1, capped."""
+def default_kernel_size(r1: float, r2: float) -> int:
+    """Support rule: 2*ceil(2*max(r1, r2)) + 1, capped at 21."""
     reach = 2.0 * max(r1, r2)
     if not math.isfinite(reach):
         raise ParameterError("kernel radius out of the representable range")
-    return min(2 * math.ceil(reach) + 1, cap)
+    return min(2 * math.ceil(reach) + 1, 21)
 
 
 @dataclass(frozen=True)
@@ -178,37 +178,6 @@ class NilutWeights:
 
 
 @dataclass(frozen=True)
-class QalWeights:
-    """Learnable queries + projections + 2-layer FFN for parameter prediction.
-
-    Produces one scalar per query slot from a set of feature vectors.
-    """
-
-    queries: np.ndarray  # (n_q, d_k)
-    key_w: np.ndarray    # (d_feat, d_k)
-    key_b: np.ndarray    # (d_k,)
-    value_w: np.ndarray  # (d_feat, d_k)
-    value_b: np.ndarray  # (d_k,)
-    ffn_w1: np.ndarray   # (d_k, d_k)
-    ffn_b1: np.ndarray   # (d_k,)
-    ffn_w2: np.ndarray   # (d_k, 1)
-    ffn_b2: np.ndarray   # (1,)
-
-    def __post_init__(self):
-        d_k = self.queries.shape[1]
-        if self.key_w.shape[1] != d_k or self.value_w.shape[1] != d_k:
-            raise ParameterError("projection output width must equal d_k")
-        if self.key_w.shape != self.value_w.shape:
-            raise ParameterError("key and value projections must share input dim")
-        if self.ffn_w1.shape != (d_k, d_k) or self.ffn_w2.shape != (d_k, 1):
-            raise ParameterError("FFN dims must be d_k -> d_k -> 1")
-
-    @property
-    def n_queries(self) -> int:
-        return self.queries.shape[0]
-
-
-@dataclass(frozen=True)
 class IspParams:
     """Full parameter vector of the input-side pipeline."""
 
@@ -238,7 +207,7 @@ class IspParams:
 
     @classmethod
     def identity(cls) -> "IspParams":
-        return constrain_params(np.zeros(RAW_PARAM_LEN), mode="normal")
+        return constrain_params(np.zeros(PARAM_DIMS))
 
 
 def gain_denoise_sharpen(img: LinearRgbImage, g: float, kernel: Kernel2D,
@@ -331,58 +300,32 @@ def nilut_forward(img: LinearRgbImage, weights: NilutWeights) -> LinearRgbImage:
     return LinearRgbImage(out.reshape(img.height, img.width, 3))
 
 
-def qal_forward(features: np.ndarray, weights: QalWeights) -> np.ndarray:
-    """Scaled dot-product attention of learnable queries over feature keys,
-    then a per-query FFN producing one scalar per query slot.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise ParameterError("need a non-empty (n, d_feat) feature set")
-    if features.shape[1] != weights.key_w.shape[0]:
-        raise DimensionError("feature dimension does not match projections")
-    k = features @ weights.key_w + weights.key_b       # (n, d_k)
-    v = features @ weights.value_w + weights.value_b   # (n, d_k)
-    d_k = weights.queries.shape[1]
-    scores = weights.queries @ k.T / math.sqrt(d_k)    # (n_q, n)
-    scores -= scores.max(axis=1, keepdims=True)
-    att = np.exp(scores)
-    att /= att.sum(axis=1, keepdims=True)
-    ctx = att @ v                                      # (n_q, d_k)
-    hidden = np.tanh(ctx @ weights.ffn_w1 + weights.ffn_b1)
-    out = hidden @ weights.ffn_w2 + weights.ffn_b2     # (n_q, 1)
-    return out.ravel()
+# Unconstrained parameter vector, the search space of `fit`:
+#   [0] gain bias          g = 1 + v[0]
+#   [1] major-axis bias    r1 = 3 + v[1], floored at 0.1
+#   [2] minor-axis bias    r2 = 2 + v[2], floored at 0.1
+#   [3] sigma logit        sigma = logistic(v[3])
+#   [4] rho pre-activation rho = 1 + max(0, v[4])
+#   [5:14] ccm biases      ccm = I3 + reshape(v[5:14], (3, 3))
+# The kernel angle theta is always 0.
+PARAM_DIMS = 14
 
 
-# Raw parameter vector layout (predictor output slots):
-#   [0] gain bias          g = g_init + raw[0]
-#   [1] major-axis bias    r1 = 3 + raw[1], floored at 0.1
-#   [2] minor-axis bias    r2 = 2 + raw[2], floored at 0.1
-#   [3] kernel angle slot  fixed to 0, value ignored
-#   [4] sigma logit        sigma = logistic(raw[4])
-#   [5] rho pre-activation rho = 1 + max(0, raw[5])
-#   [6:15] ccm biases      ccm = I3 + reshape(raw[6:15], (3, 3))
-RAW_PARAM_LEN = 15
-THETA_SLOT = 3
-GAIN_INIT = {"normal": 1.0, "low_light": 5.0}
-
-
-def constrain_params(raw: np.ndarray, mode: str = "normal") -> IspParams:
-    """Map an unconstrained predictor output vector onto valid ISP parameters."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.shape != (RAW_PARAM_LEN,):
-        raise ParameterError(f"raw parameter vector must have length {RAW_PARAM_LEN}")
-    if mode not in GAIN_INIT:
-        raise ParameterError("mode must be 'normal' or 'low_light'")
-    sigma = 1.0 / (1.0 + math.exp(-float(raw[4])))
+def constrain_params(vector: np.ndarray) -> IspParams:
+    """Map an unconstrained parameter vector onto valid ISP parameters."""
+    v = np.asarray(vector, dtype=np.float64)
+    if v.shape != (PARAM_DIMS,):
+        raise ParameterError(f"parameter vector must have length {PARAM_DIMS}")
+    sigma = 1.0 / (1.0 + math.exp(-float(v[3])))
     sigma = min(max(sigma, 1e-12), 1.0 - 1e-12)
     return IspParams(
-        g=GAIN_INIT[mode] + float(raw[0]),
-        r1=max(3.0 + float(raw[1]), 0.1),
-        r2=max(2.0 + float(raw[2]), 0.1),
+        g=1.0 + float(v[0]),
+        r1=max(3.0 + float(v[1]), 0.1),
+        r2=max(2.0 + float(v[2]), 0.1),
         theta=0.0,
         sigma=sigma,
-        rho=1.0 + max(0.0, float(raw[5])),
-        ccm=np.eye(3) + raw[6:15].reshape(3, 3),
+        rho=1.0 + max(0.0, float(v[4])),
+        ccm=np.eye(3) + v[5:14].reshape(3, 3),
     )
 
 

@@ -60,10 +60,6 @@ class RngStream:
     def from_seed(cls, master_seed: int, stream_index: int = 0) -> "RngStream":
         return cls(key=derive_key(master_seed, stream_index))
 
-    def substream(self, index: int) -> "RngStream":
-        """Independent child stream; does not consume from this stream."""
-        return RngStream(key=derive_key(self.key, index))
-
     def _raw(self, n: int) -> np.ndarray:
         z = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n

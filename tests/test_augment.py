@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rawbench import AugmentConfig, TruncatedNormal, augment_pipeline
+from rawbench import AugmentConfig, TruncatedNormal, augment, augment_pipeline
 from rawbench.augment import (BRANCHES, augment_brightness,
                               augment_chromaticity, augment_quality,
                               sample_branch, sample_brightness_coeff,
@@ -142,6 +142,22 @@ class TestQuality:
         b, pb = augment_quality(rgb, CONFIG, RngStream.from_seed(15))
         assert pa == pb
         assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("blur_before_noise", [True, False])
+    def test_one_filter_per_sample(self, monkeypatch, blur_before_noise):
+        calls = []
+        original = augment.spatial_filter
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(augment, "spatial_filter", counted)
+        config = AugmentConfig(blur_before_noise=blur_before_noise)
+        rgb = random_rgb(16, 16, seed=2)
+        for seed in range(5):
+            augment_quality(rgb, config, RngStream.from_seed(seed))
+        assert len(calls) == 5
 
 
 class TestPipeline:

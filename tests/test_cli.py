@@ -240,6 +240,21 @@ class TestBenchManifest:
         assert code in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage(self, tmp_path, raw_path, capsys, jobs):
+        out = tmp_path / "out"
+        assert cli.main(["bench", "--manifest", str(self._manifest(tmp_path)),
+                         "--raw", str(raw_path), "--jobs", jobs,
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_without_raw_or_input_dir_is_missing_dependency(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["bench", "--manifest", str(self._manifest(tmp_path)),
+                         "--out", str(out)]) == cli.EXIT_MISSING_DEP
+        assert not (out / "hashes.txt").exists()
+
     def test_written_manifest_runs(self, tmp_path, raw_path):
         assert self._run(tmp_path, raw_path,
                          self._manifest(tmp_path)) == cli.EXIT_OK
@@ -305,3 +320,40 @@ class TestAugmentConfig:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
         assert run.returncode == cli.EXIT_FORMAT
         assert "E_SCHEMA_VALUE" in run.stderr and "mass" in run.stderr
+
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_is_usage(tmp_path, raw_path, capsys, jobs):
+    out = tmp_path / "out"
+    assert cli.main(["corrupt", "--input", str(raw_path), "--sweep",
+                     "--jobs", jobs, "--out", str(out)]) == cli.EXIT_USAGE
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_corrupt_without_spec_or_kind_is_usage(tmp_path, raw_path, capsys):
+    out = tmp_path / "out.ppm"
+    assert cli.main(["corrupt", "--input", str(raw_path),
+                     "--out", str(out)]) == cli.EXIT_USAGE
+    assert "--spec or --kind" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fog_without_depth_is_missing_dependency(tmp_path, raw_path):
+    out = tmp_path / "out.ppm"
+    assert cli.main(["corrupt", "--input", str(raw_path), "--kind", "fog",
+                     "--out", str(out)]) == cli.EXIT_MISSING_DEP
+    assert not out.exists()
+
+
+def test_reference_without_a_condition_is_undefined(tmp_path, capsys):
+    records = _write_json(tmp_path / "records.json", [
+        {"method": "ref", "condition": "normal", "score": 0.9},
+        {"method": "m", "condition": "normal", "score": 0.8},
+        {"method": "m", "condition": "fog", "score": 0.6}])
+    out = tmp_path / "out"
+    assert cli.main(["report", "--records", str(records), "--reference",
+                     "ref", "--out", str(out)]) == cli.EXIT_METRIC
+    assert "'fog'" in capsys.readouterr().err
+    assert not out.exists()

@@ -152,20 +152,6 @@ class TestLossEvaluator:
         with pytest.raises(DimensionError):
             LossEvaluator(base, random_rgb(8, 8), FitConfig())
 
-    def test_sensitivity_matches_reference_difference(self, scene):
-        base, target = scene
-        bayer = random_bayer(24, 20, seed=5)
-        config = FitConfig(loss="l2", kernel_size=7)
-        vector = np.full(FIT_DIMS, 0.1)
-        got = fit.finite_difference_sensitivity(bayer, target, vector, 4, 0.05,
-                                                config)
-        plus, minus = vector.copy(), vector.copy()
-        plus[4] += 0.05
-        minus[4] -= 0.05
-        want = (reference_loss(base, target, plus, config)
-                - reference_loss(base, target, minus, config)) / 0.1
-        assert math.isclose(got, want, rel_tol=1e-9)
-
 
 class TestFitAgainstUncachedLoop:
     @pytest.mark.parametrize("conf", [

@@ -279,8 +279,9 @@ def _random_lut(seed):
 
 
 def _random_params(seed, lut=None):
-    params = isp.constrain_params(
-        0.5 * RngStream.from_seed(seed).normals(isp.RAW_PARAM_LEN))
+    # 15 draws with the fourth dropped: the parameters of the pinned bytes
+    draws = 0.5 * RngStream.from_seed(seed).normals(15)
+    params = isp.constrain_params(np.delete(draws, 3))
     return params if lut is None else dataclasses.replace(params, lut=lut)
 
 

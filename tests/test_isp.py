@@ -6,13 +6,13 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from rawbench import (CfaPattern, IspParams, Kernel2D, LinearRgbImage,
-                      NilutWeights, QalWeights, apply_ccm, constrain_params,
+                      NilutWeights, apply_ccm, constrain_params,
                       demosaic_bilinear, develop, encode_display,
                       gain_denoise_sharpen, make_gaussian_kernel,
-                      nilut_forward, qal_forward, sog_white_balance)
+                      nilut_forward, sog_white_balance)
 from rawbench.errors import ParameterError
 from rawbench import isp
-from rawbench.isp import RAW_PARAM_LEN, default_kernel_size
+from rawbench.isp import PARAM_DIMS, default_kernel_size
 from rawbench.rng import RngStream
 
 from conftest import constant_bayer, random_bayer, random_rgb
@@ -293,72 +293,6 @@ def _nilut_one_shot(img, weights):
     return (flat + (h @ w_last + b_last)).reshape(img.data.shape)
 
 
-def _tiny_qal():
-    return QalWeights(
-        queries=np.array([[1.0, 2.0], [-1.0, 0.5]]),
-        key_w=np.eye(2), key_b=np.zeros(2),
-        value_w=np.eye(2), value_b=np.array([0.1, -0.2]),
-        ffn_w1=np.array([[0.5, -0.3], [0.2, 0.7]]),
-        ffn_b1=np.array([0.01, -0.02]),
-        ffn_w2=np.array([[1.5], [-0.4]]),
-        ffn_b2=np.array([0.05]),
-    )
-
-
-class TestQalForward:
-    def test_single_key_ignores_queries(self):
-        w = _tiny_qal()
-        feats = np.array([[0.4, -0.7]])
-        out = qal_forward(feats, w)
-        # softmax over one key is 1 -> both queries see v_1 = f + value_b
-        v = feats[0] + np.array([0.1, -0.2])
-        h = np.tanh(v @ w.ffn_w1 + w.ffn_b1)
-        expected = float((h @ w.ffn_w2 + w.ffn_b2)[0])
-        assert out == pytest.approx([expected, expected], abs=1e-12)
-
-    def test_orthogonal_keys_uniform_average(self):
-        w = _tiny_qal()
-        # keys all zero -> scores zero -> uniform attention over values
-        feats = np.array([[0.0, 0.0], [0.0, 0.0]])
-        vals = np.array([0.1, -0.2])  # value_b only
-        h = np.tanh(vals @ w.ffn_w1 + w.ffn_b1)
-        expected = float((h @ w.ffn_w2 + w.ffn_b2)[0])
-        out = qal_forward(feats, w)
-        assert out == pytest.approx([expected, expected], abs=1e-12)
-
-    def test_two_feature_hand_computation(self):
-        w = _tiny_qal()
-        feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = qal_forward(feats, w)
-        # scalar re-derivation with plain math ops
-        k = [(1.0, 0.0), (0.0, 1.0)]
-        v = [(1.1, -0.2), (0.1, 0.8)]
-        expected = []
-        for q in [(1.0, 2.0), (-1.0, 0.5)]:
-            s = [(q[0] * ki[0] + q[1] * ki[1]) / math.sqrt(2) for ki in k]
-            mx = max(s)
-            e = [math.exp(si - mx) for si in s]
-            att = [ei / sum(e) for ei in e]
-            ctx = [att[0] * v[0][j] + att[1] * v[1][j] for j in range(2)]
-            h = [math.tanh(ctx[0] * w.ffn_w1[0, j] + ctx[1] * w.ffn_w1[1, j]
-                           + w.ffn_b1[j]) for j in range(2)]
-            expected.append(h[0] * w.ffn_w2[0, 0] + h[1] * w.ffn_w2[1, 0]
-                            + w.ffn_b2[0])
-        assert out == pytest.approx(expected, abs=1e-9)
-
-    def test_permutation_invariance(self):
-        w = _tiny_qal()
-        rng = RngStream.from_seed(15)
-        feats = rng.uniforms(10).reshape(5, 2)
-        out1 = qal_forward(feats, w)
-        out2 = qal_forward(feats[::-1], w)
-        assert np.allclose(out1, out2, atol=1e-12)
-
-    def test_empty_features_rejected(self):
-        with pytest.raises(ParameterError):
-            qal_forward(np.zeros((0, 2)), _tiny_qal())
-
-
 _VALID_PARAMS = dict(g=1.3, r1=2.0, r2=1.5, theta=0.0, sigma=0.35, rho=2.5)
 
 
@@ -420,40 +354,31 @@ class TestNonFiniteParameters:
 
 class TestConstrainParams:
     def test_zero_vector_normal(self):
-        p = constrain_params(np.zeros(RAW_PARAM_LEN), mode="normal")
+        p = constrain_params(np.zeros(PARAM_DIMS))
         assert (p.g, p.r1, p.r2, p.sigma, p.rho) == (1.0, 3.0, 2.0, 0.5, 1.0)
         assert p.theta == 0.0
         assert np.array_equal(p.ccm, np.eye(3))
 
-    def test_zero_vector_low_light(self):
-        p = constrain_params(np.zeros(RAW_PARAM_LEN), mode="low_light")
-        assert p.g == 5.0
-        assert (p.r1, p.r2, p.sigma, p.rho) == (3.0, 2.0, 0.5, 1.0)
-
     def test_rho_relu_floor(self):
-        raw = np.zeros(RAW_PARAM_LEN)
-        raw[5] = -7.0
-        assert constrain_params(raw).rho == 1.0
-
-    def test_theta_slot_ignored(self):
-        raw = np.zeros(RAW_PARAM_LEN)
-        raw[3] = 2.3
-        assert constrain_params(raw).theta == 0.0
+        vector = np.zeros(PARAM_DIMS)
+        vector[4] = -7.0
+        assert constrain_params(vector).rho == 1.0
 
     def test_radius_floor(self):
-        raw = np.zeros(RAW_PARAM_LEN)
-        raw[1], raw[2] = -10.0, -10.0
-        p = constrain_params(raw)
+        vector = np.zeros(PARAM_DIMS)
+        vector[1], vector[2] = -10.0, -10.0
+        p = constrain_params(vector)
         assert p.r1 == 0.1 and p.r2 == 0.1
 
     def test_sigma_strictly_inside(self):
-        raw = np.zeros(RAW_PARAM_LEN)
-        raw[4] = 80.0
-        assert 0.0 < constrain_params(raw).sigma < 1.0
+        vector = np.zeros(PARAM_DIMS)
+        vector[3] = 80.0
+        assert 0.0 < constrain_params(vector).sigma < 1.0
 
     def test_wrong_length(self):
-        with pytest.raises(ParameterError):
-            constrain_params(np.zeros(14))
+        for n in (PARAM_DIMS - 1, PARAM_DIMS + 1):
+            with pytest.raises(ParameterError):
+                constrain_params(np.zeros(n))
 
 
 class TestDevelop:
