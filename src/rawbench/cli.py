@@ -173,7 +173,6 @@ def cmd_bench(args) -> int:
         return EXIT_USAGE
     master_seed, entries = fmt.read_bench_manifest(args.manifest)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     depth = fmt.read_depth(args.depth) if args.depth else None
     flare = fmt.read_asset(args.flare) if args.flare else None
     cache: dict[str, rawmod.LinearRgbImage] = {}
@@ -191,6 +190,7 @@ def cmd_bench(args) -> int:
 
     jobs = [(image_id, spec, rgb_for(image_id), depth, flare, out_dir)
             for image_id, spec in entries]
+    out_dir.mkdir(parents=True, exist_ok=True)
     lines = parallel_map(_run_entry, jobs, args.jobs)
     (out_dir / "hashes.txt").write_text("\n".join(lines) + "\n")
     return EXIT_OK

@@ -24,14 +24,17 @@ rounding alone (a few 1e-16 relative):
 - vector_to_params always yields a LUT whose last weight matrix is zero,
   so nilut_forward adds its last bias b_lut (checked on every evaluation).
 
-The evaluator keeps D1 and W of the best vector so far, which is the
-incumbent both optimizers step from. A candidate that changes only g, the
-CCM or the LUT bias reuses W; one that changes only rho reuses D1 and
-redoes the white balance. For the l2 loss W is kept only as its 3x3
-moments (W'W, W'1, W'T), so a cached evaluation costs O(1) in the image
-size. Expanding the square costs absolute accuracy: the l2 loss carries
-an error of a few ulps of the target's mean square (about 2e-15 on unit
-range images), up to about 1e-12 relative at the losses a fit meets.
+The evaluator owns the incumbent (the best vector so far, with its D1 and
+W) and the trace of every evaluation. The optimizers are step rules: they
+draw each candidate around evaluator.best_vector and count evaluations by
+the trace's length, so every candidate steps from the vector whose parts
+are cached. A candidate that changes only g, the CCM or the LUT bias
+reuses W; one that changes only rho reuses D1 and redoes the white
+balance. For the l2 loss W is kept only as its 3x3 moments (W'W, W'1,
+W'T), so a cached evaluation costs O(1) in the image size. Expanding the
+square costs absolute accuracy: the l2 loss carries an error of a few ulps
+of the target's mean square (about 2e-15 on unit range images), up to
+about 1e-12 relative at the losses a fit meets.
 """
 
 import math
@@ -158,7 +161,8 @@ class LossEvaluator:
     """image_loss(develop_linear(base, vector_to_params(v)), target) for
     search vectors v, reusing the spatial part of the best vector so far
     (see the module docstring). `best` and `best_vector` track the lowest
-    loss seen; a later tie does not replace it."""
+    loss seen; a later tie does not replace it. `trace` records every
+    evaluation in order, so its length is the number made."""
 
     def __init__(self, base: LinearRgbImage, target: LinearRgbImage,
                  config: FitConfig):
@@ -167,6 +171,7 @@ class LossEvaluator:
         self._config = config
         self.best = np.inf
         self.best_vector = None
+        self.trace = FitTrace()
         self._base = base
         self._target = target.data.reshape(-1, 3)
         if config.loss == "l2":
@@ -175,6 +180,7 @@ class LossEvaluator:
         self._incumbent = None  # the best vector's cached parts
 
     def __call__(self, vector) -> float:
+        vector = np.asarray(vector, dtype=np.float64)
         params = vector_to_params(vector, self._config.fit_lut)
         w_last, b_last = params.lut.layers[-1]
         assert not np.any(w_last), "a fit LUT must have a zero last layer"
@@ -195,9 +201,10 @@ class LossEvaluator:
         loss = self._loss(basis, params.g * params.ccm, b_last)
         if not math.isfinite(loss):
             raise ParameterError("rgb image contains non-finite values")
+        self.trace.record(vector, loss)
         if loss < self.best:
             self.best = loss
-            self.best_vector = np.asarray(vector, dtype=np.float64).copy()
+            self.best_vector = vector.copy()
             self._incumbent = _Incumbent(spatial_key, d1, color_key, basis)
         return loss
 
@@ -229,82 +236,59 @@ class LossEvaluator:
         return max(float(total), 0.0) / self._target.size
 
 
-def _coordinate_search(evaluate, x0, bounds, budget, init_step):
-    """Cyclic coordinate descent with per-axis adaptive steps (x2 on success,
-    x0.5 on failure). Deterministic; no randomness consumed."""
-    dims = len(x0)
-    x = x0.copy()
-    best = evaluate(x)
+def _coordinate_search(evaluator, bounds, budget, init_step):
+    """Cyclic coordinate descent from evaluator.best_vector with per-axis
+    adaptive steps (x2 on success, x0.5 on failure). Deterministic; no
+    randomness consumed."""
+    entries = evaluator.trace.entries
     spans = bounds[:, 1] - bounds[:, 0]
     steps = init_step * spans
-    used = 1
-    while used < budget and np.any(steps > 1e-12 * spans):
-        for d in range(dims):
-            if used >= budget:
-                break
+    while len(entries) < budget and np.any(steps > 1e-12 * spans):
+        for d in range(len(spans)):
+            x, best = evaluator.best_vector, evaluator.best
             for direction in (+1.0, -1.0):
-                if used >= budget:
+                if len(entries) >= budget:
                     break
                 cand = x.copy()
                 cand[d] = np.clip(cand[d] + direction * steps[d],
                                   bounds[d, 0], bounds[d, 1])
                 if cand[d] == x[d]:
                     continue
-                loss = evaluate(cand)
-                used += 1
-                if loss < best:
-                    best, x = loss, cand
+                if evaluator(cand) < best:
                     steps[d] = min(steps[d] * 2.0, spans[d])
                     break
             else:
                 steps[d] *= 0.5
-    return x, best, used
 
 
-def _evolution_strategy(evaluate, x0, bounds, budget, init_step, population, rng):
-    """Elitist (1+lambda) strategy with a global multiplicative step size."""
-    x = x0.copy()
-    best = evaluate(x)
+def _evolution_strategy(evaluator, bounds, budget, init_step, population, rng):
+    """Elitist (1+lambda) strategy around evaluator.best_vector with a global
+    multiplicative step size: x1.5 when a generation lowers the best loss,
+    x0.7 otherwise."""
+    entries = evaluator.trace.entries
     spans = bounds[:, 1] - bounds[:, 0]
     scale = init_step
-    used = 1
-    while used < budget and scale > 1e-14:
-        lam = min(population, budget - used)
+    while len(entries) < budget and scale > 1e-14:
+        x, best = evaluator.best_vector, evaluator.best
+        lam = min(population, budget - len(entries))
         z = rng.normals(lam * len(x)).reshape(lam, len(x))
-        cands = np.clip(x + scale * spans * z, bounds[:, 0], bounds[:, 1])
-        losses = []
-        for i in range(lam):
-            losses.append(evaluate(cands[i]))
-        used += lam
-        i_best = int(np.argmin(losses))  # first minimum wins ties
-        if losses[i_best] < best:
-            best = losses[i_best]
-            x = cands[i_best]
-            scale = min(scale * 1.5, 1.0)
-        else:
-            scale *= 0.7
-    return x, best, used
+        for cand in np.clip(x + scale * spans * z, bounds[:, 0], bounds[:, 1]):
+            evaluator(cand)
+        scale = min(scale * 1.5, 1.0) if evaluator.best < best else scale * 0.7
 
 
 def fit_isp_params(bayer: BayerImage, target: LinearRgbImage,
                    config: FitConfig):
     """Minimize image_loss(develop(bayer, params), target) over the
-    constrained parameter box. Returns (best IspParams, FitTrace)."""
+    constrained parameter box, starting from the origin clipped into it.
+    Returns (best IspParams, FitTrace)."""
     evaluator = LossEvaluator(demosaic_bilinear(bayer), target, config)
     bounds = config.resolved_bounds()
-    trace = FitTrace()
-
-    def evaluate(vector):
-        loss = evaluator(vector)
-        trace.record(vector, loss)
-        return loss
-
-    x0 = np.clip(np.zeros(bounds.shape[0]), bounds[:, 0], bounds[:, 1])
+    evaluator(np.clip(np.zeros(len(bounds)), bounds[:, 0], bounds[:, 1]))
     if config.optimizer == "coordinate":
-        _coordinate_search(evaluate, x0, bounds, config.budget, config.init_step)
+        _coordinate_search(evaluator, bounds, config.budget, config.init_step)
     else:
         rng = RngStream.from_seed(config.seed)
-        _evolution_strategy(evaluate, x0, bounds, config.budget,
+        _evolution_strategy(evaluator, bounds, config.budget,
                             config.init_step, config.population, rng)
-    return vector_to_params(evaluator.best_vector, config.fit_lut), trace
-
+    return vector_to_params(evaluator.best_vector, config.fit_lut), evaluator.trace

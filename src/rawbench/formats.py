@@ -277,13 +277,15 @@ def _from_json(cls, obj, ctx: str, convert=None, versioned: bool = True):
 
 def _to_json(value, **extra):
     """The JSON form of a config: a dataclass is an object of its fields plus
-    `extra` (a NILUT's layers are {weights, bias} objects), and tuples,
-    arrays and numpy scalars are lists and plain numbers."""
-    if dataclasses.is_dataclass(value):
-        obj = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-        if isinstance(value, NilutWeights):
-            obj["layers"] = [{"weights": w, "bias": b} for w, b in value.layers]
-        value = {**obj, **extra}
+    `extra` (a NILUT is its layers as {weights, bias} objects beside its fixed
+    activation and residual keys), and tuples, arrays and numpy scalars are
+    lists and plain numbers."""
+    if isinstance(value, NilutWeights):
+        value = {"activation": "tanh", "residual": True,
+                 "layers": [{"weights": w, "bias": b} for w, b in value.layers]}
+    elif dataclasses.is_dataclass(value):
+        value = {**{f.name: getattr(value, f.name)
+                    for f in dataclasses.fields(value)}, **extra}
     if isinstance(value, dict):
         return {k: _to_json(v) for k, v in value.items()}
     if isinstance(value, (tuple, list)):
@@ -321,11 +323,10 @@ def nilut_from_json(obj, ctx: str) -> NilutWeights:
                        f"{ctx}.layers[{i}].weights")
         b = _as_matrix(layer["bias"], (dims[i + 1],), f"{ctx}.layers[{i}].bias")
         layers.append((w, b))
-    try:
-        return NilutWeights(layers=tuple(layers), activation=obj["activation"],
-                            residual=obj["residual"])
-    except ParameterError as e:
-        raise FormatError(E_SCHEMA_VALUE, f"{ctx}: {e}")
+    if obj["activation"] != "tanh" or obj["residual"] is not True:
+        raise FormatError(E_SCHEMA_VALUE,
+                          f"{ctx}: activation must be \"tanh\" and residual true")
+    return NilutWeights(layers=tuple(layers))
 
 
 def write_isp_params(params: IspParams, path) -> None:

@@ -49,7 +49,6 @@ from .pool import parallel_map
 from .raw import (BayerImage, LinearRgbImage, demosaic_bilinear, filter_path,
                   spatial_filter)
 
-NILUT_HIDDEN_WIDTH = 32
 NILUT_LAYER_DIMS = (3, 32, 32, 32, 3)
 # Pixels per NILUT block: keeps the 32-wide activations cache-resident
 # instead of materializing several (H*W, 32) arrays.
@@ -136,14 +135,12 @@ def default_kernel_size(r1: float, r2: float) -> int:
 
 @dataclass(frozen=True)
 class NilutWeights:
-    """Residual per-pixel MLP mapping RGB -> RGB, dims 3->32->32->32->3.
+    """Residual per-pixel tanh MLP mapping RGB -> RGB, dims 3->32->32->32->3.
 
     With an all-zero final layer the map is the identity.
     """
 
     layers: tuple  # of (weight (in, out), bias (out,)) pairs
-    activation: str = "tanh"
-    residual: bool = True
 
     def __post_init__(self):
         dims = NILUT_LAYER_DIMS
@@ -156,10 +153,6 @@ class NilutWeights:
                 )
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ParameterError(f"layer {i} weights must be finite")
-        if self.activation != "tanh":
-            raise ParameterError("unsupported activation")
-        if not self.residual:
-            raise ParameterError("non-residual LUT is not supported")
 
     @classmethod
     def identity(cls) -> "NilutWeights":
@@ -174,7 +167,7 @@ class NilutWeights:
         """Copy with the final-layer bias replaced (low-dim LUT perturbation)."""
         w_last, _ = self.layers[-1]
         layers = self.layers[:-1] + ((w_last, np.asarray(bias3, dtype=np.float64)),)
-        return NilutWeights(layers=layers, activation=self.activation)
+        return NilutWeights(layers=layers)
 
 
 @dataclass(frozen=True)
@@ -316,7 +309,8 @@ def constrain_params(vector: np.ndarray) -> IspParams:
     v = np.asarray(vector, dtype=np.float64)
     if v.shape != (PARAM_DIMS,):
         raise ParameterError(f"parameter vector must have length {PARAM_DIMS}")
-    sigma = 1.0 / (1.0 + math.exp(-float(v[3])))
+    # exp overflows below a logit of about -709; sigma is at its floor there
+    sigma = 1.0 / (1.0 + math.exp(min(-float(v[3]), 700.0)))
     sigma = min(max(sigma, 1e-12), 1.0 - 1e-12)
     return IspParams(
         g=1.0 + float(v[0]),

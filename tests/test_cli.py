@@ -253,7 +253,7 @@ class TestBenchManifest:
         out = tmp_path / "out"
         assert cli.main(["bench", "--manifest", str(self._manifest(tmp_path)),
                          "--out", str(out)]) == cli.EXIT_MISSING_DEP
-        assert not (out / "hashes.txt").exists()
+        assert not out.exists()
 
     def test_written_manifest_runs(self, tmp_path, raw_path):
         assert self._run(tmp_path, raw_path,

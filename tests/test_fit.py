@@ -28,9 +28,11 @@ class UncachedEvaluator:
     def __init__(self, base, target, config):
         self.base, self.target, self.config = base, target, config
         self.best, self.best_vector = np.inf, None
+        self.trace = fit.FitTrace()
 
     def __call__(self, vector):
         loss = reference_loss(self.base, self.target, vector, self.config)
+        self.trace.record(vector, loss)
         if loss < self.best:
             self.best = loss
             self.best_vector = np.asarray(vector, dtype=np.float64).copy()
@@ -202,6 +204,26 @@ class TestSpatialCacheGuard:
         assert blurs == evaluations
 
 
+class TestEvaluatorOwnsTheSearch:
+    """The optimizers count and pick through the evaluator's trace."""
+
+    @pytest.mark.parametrize("optimizer", ["coordinate", "evolution"])
+    @pytest.mark.parametrize("budget", [1, FitConfig().population + 1, 52])
+    def test_trace_fills_the_budget_and_names_the_result(self, tmp_path,
+                                                          optimizer, budget):
+        bayer = random_bayer(16, 16, seed=2)
+        target = random_rgb(16, 16, seed=6)
+        config = FitConfig(optimizer=optimizer, budget=budget, seed=3)
+        params, trace = fit.fit_isp_params(bayer, target, config)
+        assert len(trace.entries) == budget
+        losses = [loss for _, _, loss in trace.entries]
+        first = trace.entries[losses.index(min(losses))][1]
+        formats.write_isp_params(params, tmp_path / "returned.json")
+        formats.write_isp_params(vector_to_params(first), tmp_path / "first.json")
+        assert ((tmp_path / "returned.json").read_bytes()
+                == (tmp_path / "first.json").read_bytes())
+
+
 def test_fit_recovers_known_parameters():
     # Gain, white balance and CCM scale are degenerate, so the check is on
     # the image loss. On this scene the best loss is 0.050 after 200
@@ -249,6 +271,16 @@ class TestFitCli:
                              "--out", str(out)]) == cli.EXIT_OK
         for name in ("params.json", "trace.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_far_negative_sigma_logit_bounds_run(self, tmp_path, inputs):
+        # the sigma logit's exp would overflow here without its clamp
+        raw_path, target_path = inputs
+        bounds = [list(b) for b in fit.DEFAULT_BOUNDS]
+        bounds[3] = [-1000, -900]
+        config = self._config(tmp_path, budget=3, bounds=bounds)
+        assert cli.main(["fit", "--raw", str(raw_path), "--target",
+                         str(target_path), "--fit-config", str(config),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_OK
 
     @pytest.mark.parametrize("fields", [
         {"init_step": -1},

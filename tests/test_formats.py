@@ -448,6 +448,18 @@ def test_ill_typed_params_exit_format(tmp_path, capsys, fields):
     assert "E_SCHEMA_VALUE" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields", [
+    {"residual": "no"}, {"residual": 1}, {"residual": False},
+    {"activation": "relu"},
+])
+def test_nilut_is_tanh_and_residual_only(tmp_path, capsys, fields):
+    argv, targets = _build(tmp_path, "read_isp_params")
+    obj = json.loads(targets[""].read_text())
+    _write_json(targets[""], {**obj, "lut": {**obj["lut"], **fields}})
+    assert cli.main(argv + ["--out", str(tmp_path / "out.ppm")]) == cli.EXIT_FORMAT
+    assert "E_SCHEMA_VALUE" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("reader, target, field", [
     ("read_isp_params", "", "g"), ("read_isp_params", "", "ccm"),
     ("read_fit_config", "", "schema_version"),

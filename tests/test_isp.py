@@ -375,6 +375,14 @@ class TestConstrainParams:
         vector[3] = 80.0
         assert 0.0 < constrain_params(vector).sigma < 1.0
 
+    @pytest.mark.parametrize("logit, sigma", [
+        (-1000.0, 1e-12), (-710.0, 1e-12), (1000.0, 1.0 - 1e-12)])
+    def test_far_sigma_logit_hits_the_clamp(self, logit, sigma):
+        # exp(-logit) overflows a float below a logit of about -709
+        vector = np.zeros(PARAM_DIMS)
+        vector[3] = logit
+        assert constrain_params(vector).sigma == sigma
+
     def test_wrong_length(self):
         for n in (PARAM_DIMS - 1, PARAM_DIMS + 1):
             with pytest.raises(ParameterError):
