@@ -5,6 +5,10 @@ one library operation; all randomness flows from --seed (or RAWBENCH_SEED).
 (`pool.parallel_map`). Each sample or entry draws from its own stream and
 writes its own file, so neither the thread count nor --jobs changes results.
 
+A bench manifest's master_seed records the seed from which `corrupt
+--sweep` derived each entry's seed. `bench` does not read it: it replays
+each entry from the entry's own seed.
+
 Exit codes (EXIT_CODES maps the errors; the first matching row wins):
   0  success
   2  usage: a bad option (argparse), corrupt without --spec or --kind,
@@ -83,6 +87,8 @@ def cmd_develop(args) -> int:
     bayer = fmt.read_raw(args.raw)
     params = fmt.read_isp_params(args.params) if args.params else isp.IspParams.identity()
     if args.dump_stages:
+        stage_dir = Path(args.dump_stages)
+        stage_dir.mkdir(parents=True, exist_ok=True)  # fails before --out is written
         out, stages = isp.develop(bayer, params, kernel_size=args.kernel_size,
                                   return_stages=True)
     else:
@@ -90,8 +96,6 @@ def cmd_develop(args) -> int:
     mode = "display8_ppm" if args.display8 else "linear16_ppm"
     fmt.write_rgb(out, args.out, mode=mode, gamma=args.gamma)
     if args.dump_stages:
-        stage_dir = Path(args.dump_stages)
-        stage_dir.mkdir(parents=True, exist_ok=True)
         for name, img in {**stages, "final": out}.items():
             fmt.write_rgb(img, stage_dir / f"{name}.ppm")
     return EXIT_OK

@@ -18,6 +18,11 @@ every type and value check. Spec, manifest, NILUT and sidecar files demand
 more than their dataclasses (a seed; activation and residual; E_SIDECAR_*
 codes), so they keep their own readers.
 
+A manifest image_id names files, `<id>.pgm` under `bench --input-dir` and
+`<id>__<kind>__<seed>.ppm` under `--out`, and starts a line
+`<id>,<kind>,<seed>,<sha256>` of hashes.txt. So an id that is empty, `.`
+or `..`, or that holds `/`, `\\` or `,`, is E_SCHEMA_VALUE.
+
 Error codes, one per violation class (the CLI exits 4 on every one):
   E_PGM_MAGIC       a PNM file without the expected magic
   E_PGM_MAXVAL      a PNM maxval the reader does not accept
@@ -412,7 +417,12 @@ def write_bench_manifest(master_seed: int, entries, path) -> None:
 
 
 def read_bench_manifest(path):
-    """Returns (master_seed, [(image_id, CorruptionSpec), ...])."""
+    """Returns (master_seed, [(image_id, CorruptionSpec), ...]).
+
+    master_seed records the seed from which `corrupt --sweep` derived each
+    entry's seed; it must be a valid seed, but `bench` replays each entry
+    from its own seed alone. image_id must be a valid manifest id (module
+    docstring)."""
     obj = _load_json(path)
     _check_schema(obj, {"schema_version", "master_seed", "entries"}, set(),
                   str(path))
@@ -423,15 +433,19 @@ def read_bench_manifest(path):
     for i, e in enumerate(obj["entries"]):
         ctx = f"{path}: entries[{i}]"
         _check_schema(e, {"image_id", "kind", "seed"}, {"params"}, ctx)
-        if not isinstance(e["image_id"], str):
-            raise FormatError(E_SCHEMA_VALUE, f"{ctx}: image_id must be a string")
+        image_id = e["image_id"]
+        if (not isinstance(image_id, str) or image_id in ("", ".", "..")
+                or any(c in image_id for c in "/\\,")):
+            raise FormatError(E_SCHEMA_VALUE,
+                              f"{ctx}: image_id {image_id!r} must be a string other "
+                              "than '', '.' and '..' without '/', '\\' or ','")
         spec = _spec_from_json(e, ctx)
-        key = (e["image_id"], spec.kind, spec.seed)
+        key = (image_id, spec.kind, spec.seed)
         if key in seen:
             raise FormatError(E_SCHEMA_VALUE,
                               f"{ctx}: duplicate image id for (kind, seed) {key}")
         seen.add(key)
-        entries.append((e["image_id"], spec))
+        entries.append((image_id, spec))
     return obj["master_seed"], entries
 
 

@@ -6,10 +6,10 @@ map from an unconstrained parameter vector onto valid stage parameters.
 Stage naming follows the processing order: the mosaic develops through
 demosaic -> gain/denoise/sharpen -> white balance -> CCM -> LUT.
 
-`develop` and `develop_linear` run that chain as two banded passes over
-one preallocated (H, W, 3) buffer, on the package's thread pool, and
-their output is bit for bit the full-frame composition of the stage
-functions:
+`develop_linear` is the reference: the post-demosaic stage functions
+composed on the whole frame, on the caller's thread. `develop` is the one
+banded schedule: two passes over one preallocated (H, W, 3) buffer on the
+package's thread pool, bit for bit demosaic_bilinear then `develop_linear`:
 
 - Halo. A band of BAND_ROWS rows reads `band_halo(k)` = k // 2 + 1 rows
   beyond its own on each side, rounded up to even: the k-tap blur reaches
@@ -61,8 +61,6 @@ NILUT_GEMM_ROWS = 256
 BAND_ROWS = 64
 # NILUT blocks per chunk of develop's colour pass.
 COLOUR_BLOCKS = 4
-# The images `develop` can return besides the final one, in chain order.
-STAGES = ("demosaiced", "denoised", "white_balanced", "color_corrected")
 
 
 @dataclass(frozen=True)
@@ -323,15 +321,29 @@ def constrain_params(vector: np.ndarray) -> IspParams:
     )
 
 
+def _kernel(params: IspParams, kernel_size: int | None) -> Kernel2D:
+    """The blur kernel of params, kernel_size taps wide or, when None, as
+    wide as `default_kernel_size` says."""
+    if kernel_size is None:
+        kernel_size = default_kernel_size(params.r1, params.r2)
+    return make_gaussian_kernel(params.r1, params.r2, params.theta, kernel_size)
+
+
 def develop_linear(rgb: LinearRgbImage, params: IspParams,
                    kernel_size: int | None = None, return_stages: bool = False):
-    """Post-demosaic chain: gain/denoise/sharpen -> WB -> CCM -> LUT, run
-    as `develop` runs it. Returns the final image, or (final, stages) with
+    """The reference post-demosaic chain, on the whole frame and the
+    caller's thread: gain_denoise_sharpen -> sog_white_balance -> apply_ccm
+    -> nilut_forward. Returns the final image, or (final, stages) with
     stages 'denoised'/'white_balanced'/'color_corrected'."""
-    final, stages = _develop(lambda lo, hi: LinearRgbImage(rgb.data[lo:hi]),
-                             rgb.data.shape[:2], params, kernel_size,
-                             STAGES[1:] if return_stages else ())
-    return (final, stages) if return_stages else final
+    kernel = _kernel(params, kernel_size)
+    denoised = gain_denoise_sharpen(rgb, params.g, kernel, params.sigma)
+    balanced, _ = sog_white_balance(denoised, params.rho)
+    corrected = apply_ccm(balanced, params.ccm)
+    final = nilut_forward(corrected, params.lut)
+    if not return_stages:
+        return final
+    return final, {"denoised": denoised, "white_balanced": balanced,
+                   "color_corrected": corrected}
 
 
 def develop(bayer: BayerImage, params: IspParams, kernel_size: int | None = None,
@@ -342,9 +354,9 @@ def develop(bayer: BayerImage, params: IspParams, kernel_size: int | None = None
     'demosaiced'/'denoised'/'white_balanced'/'color_corrected' to the
     intermediate images.
 
-    The output is bit for bit demosaic_bilinear -> gain_denoise_sharpen ->
-    sog_white_balance -> apply_ccm -> nilut_forward on the whole frame, but
-    runs on `pool.WORKERS` threads (see the module docstring):
+    The output is bit for bit demosaic_bilinear followed by the reference
+    `develop_linear`, but runs on `pool.WORKERS` threads (see the module
+    docstring):
 
     1. spatial pass: each band of BAND_ROWS rows is demosaiced and denoised
        from its rows plus `band_halo` rows on each side; its own rows go
@@ -354,13 +366,44 @@ def develop(bayer: BayerImage, params: IspParams, kernel_size: int | None = None
     3. colour pass, in place: gains, CCM and LUT over chunks of
        COLOUR_BLOCKS whole NILUT blocks.
 
-    With return_stages the same bands and chunks also fill one buffer per
-    stage. A non-finite value in any band or chunk raises ParameterError.
+    A non-finite value in any band or chunk raises ParameterError. With
+    return_stages the reference develops the frame instead, on one thread.
     """
-    final, stages = _develop(
-        lambda lo, hi: demosaic_bilinear(replace(bayer, data=bayer.data[lo:hi])),
-        bayer.data.shape, params, kernel_size, STAGES if return_stages else ())
-    return (final, stages) if return_stages else final
+    if return_stages:
+        demosaiced = demosaic_bilinear(bayer)
+        final, stages = develop_linear(demosaiced, params, kernel_size,
+                                       return_stages=True)
+        return final, {"demosaiced": demosaiced, **stages}
+    kernel = _kernel(params, kernel_size)
+    height = bayer.height
+    out = np.empty(bayer.data.shape + (3,))
+    power = np.empty((3,) + bayer.data.shape)
+    flat = out.reshape(-1, 3)
+    halo = band_halo(kernel.size)
+    rows = height if filter_path(kernel.taps) == "fft" else BAND_ROWS
+
+    def spatial(start):
+        stop = min(start + rows, height)
+        lo, hi = max(start - halo, 0), min(stop + halo, height)
+        demosaiced = demosaic_bilinear(replace(bayer, data=bayer.data[lo:hi]))
+        denoised = gain_denoise_sharpen(demosaiced, params.g, kernel, params.sigma)
+        own = denoised.data[start - lo:stop - lo]
+        out[start:stop] = own
+        _sog_powers(own, params.rho, power[:, start:stop])
+
+    chunk = COLOUR_BLOCKS * NILUT_BLOCK_ROWS
+
+    def colour(start):
+        pixels = slice(start, start + chunk)
+        balanced = LinearRgbImage((flat[pixels] * gains)[None])
+        corrected = apply_ccm(balanced, params.ccm)
+        flat[pixels] = nilut_forward(corrected, params.lut).data[0]
+
+    parallel_map(spatial, range(0, height, rows))
+    gains = np.array(_sog_gains(power, params.rho))
+    del power  # freed before the colour pass
+    parallel_map(colour, range(0, len(flat), chunk))
+    return LinearRgbImage(out)
 
 
 def band_halo(kernel_size: int) -> int:
@@ -370,55 +413,6 @@ def band_halo(kernel_size: int) -> int:
     same CFA row pair as the frame."""
     halo = kernel_size // 2 + 1
     return halo + halo % 2
-
-
-def _develop(source, shape, params: IspParams, kernel_size, stage_names):
-    """The banded passes of `develop` on an image of shape (H, W).
-    source(lo, hi) is the image entering gain/denoise/sharpen, rows lo to
-    hi; stage_names selects the stage buffers to fill. Returns (final
-    image, {name: stage image})."""
-    if kernel_size is None:
-        kernel_size = default_kernel_size(params.r1, params.r2)
-    kernel = make_gaussian_kernel(params.r1, params.r2, params.theta, kernel_size)
-    height = shape[0]
-    out = np.empty(shape + (3,))
-    power = np.empty((3,) + shape)
-    stages = {name: np.empty_like(out) for name in stage_names}
-    flat = out.reshape(-1, 3)
-    halo = band_halo(kernel.size)
-    rows = height if filter_path(kernel.taps) == "fft" else BAND_ROWS
-
-    def spatial(start):
-        stop = min(start + rows, height)
-        lo, hi = max(start - halo, 0), min(stop + halo, height)
-        entering = source(lo, hi)
-        denoised = gain_denoise_sharpen(entering, params.g, kernel, params.sigma)
-        own = slice(start - lo, stop - lo)
-        out[start:stop] = denoised.data[own]
-        _sog_powers(denoised.data[own], params.rho, power[:, start:stop])
-        for name, img in (("demosaiced", entering), ("denoised", denoised)):
-            if name in stages:
-                stages[name][start:stop] = img.data[own]
-
-    chunk = COLOUR_BLOCKS * NILUT_BLOCK_ROWS
-
-    def colour(start):
-        pixels = slice(start, start + chunk)
-        balanced = LinearRgbImage((flat[pixels] * gains)[None])
-        corrected = apply_ccm(balanced, params.ccm)
-        final = nilut_forward(corrected, params.lut)
-        for name, img in (("white_balanced", balanced),
-                          ("color_corrected", corrected)):
-            if name in stages:
-                stages[name].reshape(-1, 3)[pixels] = img.data[0]
-        flat[pixels] = final.data[0]
-
-    parallel_map(spatial, range(0, height, rows))
-    gains = np.array(_sog_gains(power, params.rho))
-    del power  # freed before the colour pass
-    parallel_map(colour, range(0, len(flat), chunk))
-    return LinearRgbImage(out), {name: LinearRgbImage(stages[name])
-                                 for name in stage_names}
 
 
 def encode_display(img: LinearRgbImage, gamma: float = 2.2) -> np.ndarray:

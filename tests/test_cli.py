@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rawbench import GrayImage, cli, formats, isp
+from rawbench import GrayImage, cli, formats, isp, visualize_raw
 from rawbench import augment as aug
 
 from conftest import random_bayer
@@ -68,6 +68,13 @@ class TestDevelop:
         assert sorted(p.stem for p in stage_dir.iterdir()) == [
             "color_corrected", "demosaiced", "denoised", "final",
             "white_balanced"]
+
+    def test_dump_stages_onto_a_file_writes_no_output(self, tmp_path, raw_path):
+        stage_path, out = tmp_path / "stages", tmp_path / "out.ppm"
+        stage_path.write_text("")
+        assert cli.main(["develop", "--raw", str(raw_path), "--out", str(out),
+                         "--dump-stages", str(stage_path)]) == cli.EXIT_FORMAT
+        assert not out.exists()
 
 
 def test_invalid_kernel_size_exits_invalid(tmp_path, raw_path):
@@ -260,6 +267,61 @@ class TestBenchManifest:
                          self._manifest(tmp_path)) == cli.EXIT_OK
         assert len((tmp_path / "out" / "hashes.txt").read_text().split()) == 1
 
+    @pytest.mark.parametrize("image_id", ["", ".", "..", "../escaped",
+                                          "a\\b", "a,b"])
+    def test_bad_image_id_is_rejected(self, tmp_path, raw_path, capsys,
+                                      image_id):
+        # an id names <id>.pgm and <id>__<kind>__<seed>.ppm, and starts a
+        # comma-separated line of hashes.txt
+        manifest = self._manifest(tmp_path, image_id=image_id)
+        assert self._run(tmp_path, raw_path, manifest) == cli.EXIT_FORMAT
+        assert "E_SCHEMA_VALUE" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert not list(tmp_path.glob("*__low_light__3.ppm"))
+
+    def test_benchmark_image_id_runs(self, tmp_path, raw_path):
+        manifest = self._manifest(tmp_path, image_id="syn_0")
+        assert self._run(tmp_path, raw_path, manifest) == cli.EXIT_OK
+        assert (tmp_path / "out" / "syn_0__low_light__3.ppm").exists()
+
+    def test_master_seed_does_not_change_hashes(self, tmp_path, raw_path):
+        # bench replays each entry from its own seed; master_seed only
+        # records where corrupt --sweep derived the entry seeds from
+        hashes = []
+        for master_seed in (5, 6):
+            run_dir = tmp_path / str(master_seed)
+            run_dir.mkdir()
+            manifest = self._manifest(run_dir, master_seed=master_seed,
+                                      kind="sensor_noise")
+            assert self._run(run_dir, raw_path, manifest) == cli.EXIT_OK
+            hashes.append((run_dir / "out" / "hashes.txt").read_text())
+        assert hashes[0] == hashes[1]
+
+    def _run_input_dir(self, tmp_path, input_dir):
+        return cli.main(["bench", "--manifest", str(self._manifest(tmp_path)),
+                         "--input-dir", str(input_dir),
+                         "--out", str(tmp_path / "out")])
+
+    def test_input_dir_reads_each_image_id(self, tmp_path, raw_path):
+        input_dir = tmp_path / "inputs"
+        input_dir.mkdir()
+        raw_path.rename(input_dir / "scene.pgm")
+        raw_path.with_suffix(".json").rename(input_dir / "scene.json")
+        assert self._run_input_dir(tmp_path, input_dir) == cli.EXIT_OK
+        from_raw = tmp_path / "from_raw"
+        from_raw.mkdir()
+        assert self._run(from_raw, input_dir / "scene.pgm",
+                         self._manifest(from_raw)) == cli.EXIT_OK
+        assert ((tmp_path / "out" / "hashes.txt").read_text()
+                == (from_raw / "out" / "hashes.txt").read_text())
+
+    def test_input_dir_without_the_image_is_format(self, tmp_path, capsys):
+        input_dir = tmp_path / "inputs"
+        input_dir.mkdir()
+        assert self._run_input_dir(tmp_path, input_dir) == cli.EXIT_FORMAT
+        assert "scene.pgm" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestAugmentConfig:
     def _run(self, tmp_path, raw_path, config):
@@ -357,3 +419,29 @@ def test_reference_without_a_condition_is_undefined(tmp_path, capsys):
                      "ref", "--out", str(out)]) == cli.EXIT_METRIC
     assert "'fog'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_visualize_writes_the_green_average(tmp_path, raw_path):
+    out = tmp_path / "vis.pgm"
+    assert cli.main(["visualize", "--raw", str(raw_path),
+                     "--out", str(out)]) == cli.EXIT_OK
+    expected = tmp_path / "expected.pgm"
+    formats.write_gray8(visualize_raw(formats.read_raw(raw_path)), expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_csv_records_report_as_their_json(tmp_path):
+    rows = [("ref", "normal", 0.9), ("ref", "fog", 0.7),
+            ("m", "normal", 0.8), ("m", "fog", 0.6)]
+    as_csv = tmp_path / "records.csv"
+    as_csv.write_text("method,condition,score\n"
+                      + "".join(f"{m},{c},{v}\n" for m, c, v in rows))
+    as_json = _write_json(tmp_path / "records.json", [
+        {"method": m, "condition": c, "score": v} for m, c, v in rows])
+    reports = []
+    for records in (as_csv, as_json):
+        out = tmp_path / records.suffix[1:]
+        assert cli.main(["report", "--records", str(records), "--reference",
+                         "ref", "--out", str(out)]) == cli.EXIT_OK
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]

@@ -88,7 +88,27 @@ def test_non_finite_result_in_a_worker_raises_parameter_error(monkeypatch, worke
         with pytest.raises(ParameterError, match="non-finite"):
             develop(random_bayer(16, 12, seed=1), params, kernel_size=3)  # colour pass
         with pytest.raises(ParameterError, match="non-finite"):
-            develop_linear(bright, params, kernel_size=3)  # spatial pass
+            # gain_denoise_sharpen, on the caller's thread: the reference
+            # never reaches the pool (test_pool.py covers worker failures)
+            develop_linear(bright, params, kernel_size=3)
+
+
+def test_only_develop_without_stages_runs_on_the_pool(monkeypatch):
+    calls = []
+    parallel_map = isp.parallel_map
+
+    def spy(fn, items, workers=None):
+        calls.append(fn.__name__)
+        return parallel_map(fn, items, workers)
+
+    monkeypatch.setattr(isp, "parallel_map", spy)
+    bayer, params = random_bayer(16, 12, seed=4), params_for(np.full(15, 0.5), 0.0, True)
+    develop_linear(demosaic_bilinear(bayer), params, kernel_size=5)
+    develop_linear(demosaic_bilinear(bayer), params, kernel_size=5, return_stages=True)
+    develop(bayer, params, kernel_size=5, return_stages=True)
+    assert calls == []
+    develop(bayer, params, kernel_size=5)
+    assert calls == ["spatial", "colour"]
 
 
 def test_non_finite_result_exits_invalid(tmp_path, monkeypatch, capsys):
