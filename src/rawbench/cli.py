@@ -121,9 +121,10 @@ def cmd_corrupt(args) -> int:
     flare = fmt.read_asset(args.flare) if args.flare else None
     seed = _default_seed(args.seed)
     if args.sweep:
+        image_id = Path(args.input).stem  # the manifest's id: checked first
+        fmt.check_image_id(image_id, f"{args.input}: input stem")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        image_id = Path(args.input).stem
         entries = [(image_id, cor.CorruptionSpec(kind=k, seed=derive_key(seed, i) % 2**31))
                    for i, k in enumerate(cor.KINDS)]
         jobs = [(image_id, spec, rgb, depth, flare, out_dir)

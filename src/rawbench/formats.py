@@ -5,7 +5,8 @@ augmentation/fit configs, manifests, and evaluation records.
 Every PNM file goes through one codec. _read_pnm checks the header (magic,
 width, height, maxval; '#' comments allowed), _pnm_codes decodes the payload
 ((H, W) for P5, (H, W, 3) for P6; uint8 for maxval 255, big-endian uint16 for
-65535) and _write_pnm writes codes back. Each image reader and writer only
+65535), _pnm_encode quantizes values into those codes a chunk of rows at a
+time, and _write_pnm writes codes back. Each image reader and writer only
 names the magics and maxvals it accepts.
 
 Every JSON document carries schema_version: 1; unknown fields are rejected.
@@ -21,7 +22,9 @@ codes), so they keep their own readers.
 A manifest image_id names files, `<id>.pgm` under `bench --input-dir` and
 `<id>__<kind>__<seed>.ppm` under `--out`, and starts a line
 `<id>,<kind>,<seed>,<sha256>` of hashes.txt. So an id that is empty, `.`
-or `..`, or that holds `/`, `\\` or `,`, is E_SCHEMA_VALUE.
+or `..`, that holds `/`, `\\` or `,`, or that is not `str.isprintable()`
+(a NUL, a newline or another control character) is E_SCHEMA_VALUE
+(`check_image_id`, for manifests and for the stem `corrupt --sweep` takes).
 
 Error codes, one per violation class (the CLI exits 4 on every one):
   E_PGM_MAGIC       a PNM file without the expected magic
@@ -86,8 +89,9 @@ def _round_half_away(values: np.ndarray) -> np.ndarray:
 
 
 def _quantize(values: np.ndarray, scale: float) -> np.ndarray:
-    """Codes round_half_away(clip(values, 0, 1) * scale), computed in one
-    float temporary."""
+    """Codes round_half_away(clip(values, 0, 1) * scale), as floats, computed
+    in one float temporary the size of `values` (`_pnm_encode` passes one
+    chunk of rows at a time)."""
     codes = np.clip(values, 0.0, 1.0)
     codes *= scale
     return _round_half_away(codes)
@@ -98,6 +102,9 @@ def _quantize(values: np.ndarray, scale: float) -> np.ndarray:
 # whitespace and '#' comments, then a whole token (it never splits in two)
 _PNM_HEADER = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]\S*)(?!\S)" * 3)
 _PNM_SAMPLE = {255: np.dtype(np.uint8), 65535: np.dtype(">u2")}
+_PNM_MAXVAL = {sample: maxval for maxval, sample in _PNM_SAMPLE.items()}
+# Pixels per chunk of `_pnm_encode`: a 256^2 image is one chunk.
+ENCODE_CHUNK_PIXELS = 2**16
 _PnmHeader = namedtuple("_PnmHeader", "magic width height maxval payload")
 
 
@@ -135,13 +142,27 @@ def _pnm_codes(path, header: _PnmHeader) -> np.ndarray:
     return np.frombuffer(header.payload, sample).reshape(shape)
 
 
-def _write_pnm(path, codes: np.ndarray, maxval: int) -> None:
-    """(H, W) codes as P5, (H, W, 3) as P6, with `maxval`'s sample type."""
+def _pnm_encode(values: np.ndarray, maxval: int, encode) -> np.ndarray:
+    """Codes of `maxval`'s sample type, encode(rows) for chunks of rows of
+    `values` holding about ENCODE_CHUNK_PIXELS pixels each, written into
+    one preallocated array. `encode` works on each value alone, so the
+    codes are those of the whole frame; only one chunk's float temporary
+    is alive at a time."""
+    codes = np.empty(values.shape, _PNM_SAMPLE[maxval])
+    rows = max(ENCODE_CHUNK_PIXELS // values.shape[1], 1)
+    for start in range(0, len(values), rows):
+        codes[start:start + rows] = encode(values[start:start + rows])
+    return codes
+
+
+def _write_pnm(path, codes: np.ndarray) -> None:
+    """(H, W) codes as P5, (H, W, 3) as P6, in their PNM sample type
+    (`_PNM_SAMPLE`), which names the maxval."""
     magic = "P5" if codes.ndim == 2 else "P6"
     height, width = codes.shape[:2]
     with open(path, "wb") as f:
-        f.write(f"{magic}\n{width} {height}\n{maxval}\n".encode())
-        f.write(codes.astype(_PNM_SAMPLE[maxval]))
+        f.write(f"{magic}\n{width} {height}\n{_PNM_MAXVAL[codes.dtype]}\n".encode())
+        f.write(codes)
 
 
 _SIDECAR_FIELDS = {"schema_version", "cfa", "bit_depth", "black_level",
@@ -185,8 +206,9 @@ def write_raw(bayer: BayerImage, pgm_path, sidecar_path=None,
               sensor_name: str = "unknown") -> None:
     """Denormalize to integer codes (half away from zero) and write the pair."""
     span = bayer.white_level - bayer.black_level
-    _write_pnm(pgm_path, _round_half_away(bayer.black_level + bayer.data * span),
-               65535)
+    _write_pnm(pgm_path, _pnm_encode(
+        bayer.data, 65535,
+        lambda rows: _round_half_away(bayer.black_level + rows * span)))
     write_json({
         "schema_version": SCHEMA_VERSION,
         "cfa": bayer.cfa.value,
@@ -199,12 +221,17 @@ def write_raw(bayer: BayerImage, pgm_path, sidecar_path=None,
 
 def write_rgb(img: LinearRgbImage, path, mode: str = "linear16_ppm",
               gamma: float = 2.2) -> None:
-    """linear16_ppm: P6/65535 of clamped linear values.
-    display8_ppm: P6/255 after gamma encoding."""
+    """linear16_ppm: P6/65535 of clamped linear values (`_quantize`).
+    display8_ppm: P6/255 after gamma encoding (`encode_display`).
+    Either quantizes a chunk of rows at a time into the file's sample type
+    (`_pnm_encode`), so the codes are those of the whole frame."""
     if mode == "linear16_ppm":
-        _write_pnm(path, _quantize(img.data, 65535.0), 65535)
+        _write_pnm(path, _pnm_encode(img.data, 65535,
+                                     partial(_quantize, scale=65535.0)))
     elif mode == "display8_ppm":
-        _write_pnm(path, encode_display(img, gamma=gamma), 255)
+        _write_pnm(path, _pnm_encode(
+            img.data, 255,
+            lambda rows: encode_display(LinearRgbImage(rows), gamma=gamma)))
     else:
         raise ParameterError(f"unknown rgb mode {mode!r}")
 
@@ -216,7 +243,7 @@ def read_rgb(path) -> LinearRgbImage:
 
 
 def write_gray8(gray: GrayImage, path) -> None:
-    _write_pnm(path, _quantize(gray.data, 255.0), 255)
+    _write_pnm(path, _pnm_encode(gray.data, 255, partial(_quantize, scale=255.0)))
 
 
 def read_depth(path):
@@ -416,6 +443,16 @@ def write_bench_manifest(master_seed: int, entries, path) -> None:
     }, path)
 
 
+def check_image_id(image_id, ctx: str) -> None:
+    """E_SCHEMA_VALUE unless image_id is a valid manifest id (module
+    docstring)."""
+    if (not isinstance(image_id, str) or image_id in ("", ".", "..")
+            or any(c in image_id for c in "/\\,") or not image_id.isprintable()):
+        raise FormatError(E_SCHEMA_VALUE,
+                          f"{ctx}: image_id {image_id!r} must be a printable string "
+                          "other than '', '.' and '..' without '/', '\\' or ','")
+
+
 def read_bench_manifest(path):
     """Returns (master_seed, [(image_id, CorruptionSpec), ...]).
 
@@ -434,11 +471,7 @@ def read_bench_manifest(path):
         ctx = f"{path}: entries[{i}]"
         _check_schema(e, {"image_id", "kind", "seed"}, {"params"}, ctx)
         image_id = e["image_id"]
-        if (not isinstance(image_id, str) or image_id in ("", ".", "..")
-                or any(c in image_id for c in "/\\,")):
-            raise FormatError(E_SCHEMA_VALUE,
-                              f"{ctx}: image_id {image_id!r} must be a string other "
-                              "than '', '.' and '..' without '/', '\\' or ','")
+        check_image_id(image_id, ctx)
         spec = _spec_from_json(e, ctx)
         key = (image_id, spec.kind, spec.seed)
         if key in seen:

@@ -18,9 +18,10 @@ package's thread pool, bit for bit demosaic_bilinear then `develop_linear`:
   rows are kept, so the mirrored border of a band slice is never used.
   A kernel on the FFT path runs as one band, because the rounding of an
   FFT depends on the length transformed.
-- Shades-of-Gray. Each band also writes its rows' channel powers; the
-  gains are their means over the whole frame, one np.mean per channel
-  over a contiguous (H, W) array, as on the full frame.
+- Shades-of-Gray. After the spatial pass, one channel at a time: bands of
+  BAND_ROWS rows fill one reused (H, W) plane with the channel's powers,
+  and one np.mean of that contiguous plane gives the channel's mean, as on
+  the full frame (`_sog_means`). So one plane is alive, not three.
 - Block alignment. The colour pass (gains, CCM, LUT) runs over chunks of
   COLOUR_BLOCKS whole NILUT blocks, so every block holds the pixels it
   holds on the full frame. Block boundaries change bits: with 255-pixel
@@ -214,39 +215,50 @@ def gain_denoise_sharpen(img: LinearRgbImage, g: float, kernel: Kernel2D,
     return LinearRgbImage(out)
 
 
-def _sog_powers(data: np.ndarray, rho: float, out: np.ndarray) -> None:
-    """out[c] = np.clip(data, 0, None)[..., c] ** rho. Elementwise, so row
-    bands of data fill row bands of out; `**` reads the strided channel view
-    of an (h, W, 3) array, as it does on the whole image."""
-    clipped = np.clip(data, 0.0, None)
+def _sog_means(data: np.ndarray, rho: float, map_bands=map) -> list:
+    """The mean of np.clip(data, 0, None)[..., c] ** rho for each channel c
+    of an (H, W, 3) array, from one reused (H, W) float64 plane.
+
+    Per channel, map_bands (`map` on the caller's thread, or
+    `pool.parallel_map`) fills the plane in bands of BAND_ROWS rows, and one
+    np.mean sums the contiguous plane in numpy's fixed pairwise order. Each
+    band clips its (h, W, 3) rows, and `**` reads the strided channel view
+    of that clipped band, as it does on the whole image; a contiguous copy
+    of the channel may round differently."""
+    height = data.shape[0]
+    plane = np.empty(data.shape[:2])
+    means = []
     for c in range(3):
-        out[c] = clipped[..., c] ** rho
+        def power(start):
+            rows = slice(start, start + BAND_ROWS)
+            plane[rows] = np.clip(data[rows], 0.0, None)[..., c] ** rho
+
+        list(map_bands(power, range(0, height, BAND_ROWS)))
+        means.append(float(np.mean(plane)))
+    return means
 
 
-def _sog_gains(power: np.ndarray, rho: float) -> tuple:
+def _sog_gains(means: list, rho: float) -> tuple:
     """Shades-of-Gray gains m_i = ||channel i||_rho / ||all channels||_rho
-    from the three (H, W) channel power arrays. Each mean sums a contiguous
-    (H, W) array in numpy's fixed pairwise order. The channel means are
-    combined as 3*p_i / (p_r + p_g + p_b), which is the same ratio but keeps
+    from the three channel means of `_sog_means`. They are combined as
+    3*p_i / (p_r + p_g + p_b), which is the same ratio but keeps
     equal-channel images exact fixed points."""
-    powers = [float(np.mean(p)) for p in power]
-    total = (powers[0] + powers[1]) + powers[2]
+    total = (means[0] + means[1]) + means[2]
     if total == 0.0:
         return (1.0, 1.0, 1.0)
-    return tuple((3.0 * p / total) ** (1.0 / rho) for p in powers)
+    return tuple((3.0 * p / total) ** (1.0 / rho) for p in means)
 
 
 def sog_white_balance(img: LinearRgbImage, rho: float):
-    """Shades-of-Gray gains (`_sog_powers`, `_sog_gains`), then scale each
-    channel by its gain (the literal multiply-by-gain form). Negative values
-    are clamped to 0 inside the power only; the scaled output uses the
-    unclamped image. Returns (image, (m_r, m_g, m_b)).
+    """Shades-of-Gray gains (`_sog_means`, `_sog_gains`, on the caller's
+    thread), then scale each channel by its gain (the literal
+    multiply-by-gain form). Negative values are clamped to 0 inside the
+    power only; the scaled output uses the unclamped image. Returns (image,
+    (m_r, m_g, m_b)).
     """
     if rho < 1.0:
         raise ParameterError("rho must be >= 1")
-    power = np.empty((3,) + img.data.shape[:2])
-    _sog_powers(img.data, rho, power)
-    gains = _sog_gains(power, rho)
+    gains = _sog_gains(_sog_means(img.data, rho), rho)
     return LinearRgbImage(img.data * np.array(gains)), gains
 
 
@@ -360,9 +372,9 @@ def develop(bayer: BayerImage, params: IspParams, kernel_size: int | None = None
 
     1. spatial pass: each band of BAND_ROWS rows is demosaiced and denoised
        from its rows plus `band_halo` rows on each side; its own rows go
-       into the output buffer and their Shades-of-Gray channel powers into
-       three (H, W) arrays;
-    2. the gains, from the means of those arrays (`_sog_gains`);
+       into the output buffer;
+    2. the Shades-of-Gray gains, from one channel power plane at a time,
+       filled in bands (`_sog_means`, `_sog_gains`);
     3. colour pass, in place: gains, CCM and LUT over chunks of
        COLOUR_BLOCKS whole NILUT blocks.
 
@@ -377,7 +389,6 @@ def develop(bayer: BayerImage, params: IspParams, kernel_size: int | None = None
     kernel = _kernel(params, kernel_size)
     height = bayer.height
     out = np.empty(bayer.data.shape + (3,))
-    power = np.empty((3,) + bayer.data.shape)
     flat = out.reshape(-1, 3)
     halo = band_halo(kernel.size)
     rows = height if filter_path(kernel.taps) == "fft" else BAND_ROWS
@@ -387,9 +398,7 @@ def develop(bayer: BayerImage, params: IspParams, kernel_size: int | None = None
         lo, hi = max(start - halo, 0), min(stop + halo, height)
         demosaiced = demosaic_bilinear(replace(bayer, data=bayer.data[lo:hi]))
         denoised = gain_denoise_sharpen(demosaiced, params.g, kernel, params.sigma)
-        own = denoised.data[start - lo:stop - lo]
-        out[start:stop] = own
-        _sog_powers(own, params.rho, power[:, start:stop])
+        out[start:stop] = denoised.data[start - lo:stop - lo]
 
     chunk = COLOUR_BLOCKS * NILUT_BLOCK_ROWS
 
@@ -400,8 +409,8 @@ def develop(bayer: BayerImage, params: IspParams, kernel_size: int | None = None
         flat[pixels] = nilut_forward(corrected, params.lut).data[0]
 
     parallel_map(spatial, range(0, height, rows))
-    gains = np.array(_sog_gains(power, params.rho))
-    del power  # freed before the colour pass
+    gains = np.array(_sog_gains(_sog_means(out, params.rho, parallel_map),
+                                params.rho))
     parallel_map(colour, range(0, len(flat), chunk))
     return LinearRgbImage(out)
 

@@ -268,11 +268,12 @@ class TestBenchManifest:
         assert len((tmp_path / "out" / "hashes.txt").read_text().split()) == 1
 
     @pytest.mark.parametrize("image_id", ["", ".", "..", "../escaped",
-                                          "a\\b", "a,b"])
+                                          "a\\b", "a,b", "x\u0000y", "x\ny"])
     def test_bad_image_id_is_rejected(self, tmp_path, raw_path, capsys,
                                       image_id):
         # an id names <id>.pgm and <id>__<kind>__<seed>.ppm, and starts a
-        # comma-separated line of hashes.txt
+        # comma-separated line of hashes.txt: a NUL cannot be in a path, and
+        # a newline would split its line in two
         manifest = self._manifest(tmp_path, image_id=image_id)
         assert self._run(tmp_path, raw_path, manifest) == cli.EXIT_FORMAT
         assert "E_SCHEMA_VALUE" in capsys.readouterr().err
@@ -391,6 +392,19 @@ def test_sweep_jobs_below_one_is_usage(tmp_path, raw_path, capsys, jobs):
     assert cli.main(["corrupt", "--input", str(raw_path), "--sweep",
                      "--jobs", jobs, "--out", str(out)]) == cli.EXIT_USAGE
     assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_of_an_input_stem_that_is_no_image_id_is_rejected(tmp_path, capsys):
+    # the sweep's manifest takes the input's stem as its image_id; a comma
+    # would give hashes.txt lines of five fields and a manifest that bench
+    # rejects
+    raw = tmp_path / "a,b.pgm"
+    formats.write_raw(random_bayer(16, 16, seed=12), raw)
+    out = tmp_path / "out"
+    assert cli.main(["corrupt", "--input", str(raw), "--sweep",
+                     "--out", str(out)]) == cli.EXIT_FORMAT
+    assert "E_SCHEMA_VALUE" in capsys.readouterr().err
     assert not out.exists()
 
 

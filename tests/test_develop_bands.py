@@ -3,6 +3,7 @@ on the band height or the number of workers. Every case is compared byte
 for byte with the full-frame composition of the stage functions."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,7 +109,24 @@ def test_only_develop_without_stages_runs_on_the_pool(monkeypatch):
     develop(bayer, params, kernel_size=5, return_stages=True)
     assert calls == []
     develop(bayer, params, kernel_size=5)
-    assert calls == ["spatial", "colour"]
+    # one Shades-of-Gray power plane, filled once per channel
+    assert calls == ["spatial", "power", "power", "power", "colour"]
+
+
+def test_develop_holds_one_power_plane(monkeypatch):
+    # 32 bands of 64 rows on 2 threads. The (H, W, 3) output is 3 planes of
+    # the mosaic's size and the Shades-of-Gray power plane one more; the
+    # bands' temporaries stay well under one plane. With three power planes
+    # beside the output the peak was about 7 planes.
+    monkeypatch.setattr(pool, "WORKERS", 2)
+    bayer = random_bayer(2048, 128, seed=6)
+    tracemalloc.start()
+    try:
+        develop(bayer, IspParams.identity())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * bayer.data.nbytes
 
 
 def test_non_finite_result_exits_invalid(tmp_path, monkeypatch, capsys):

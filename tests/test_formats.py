@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import tempfile
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -420,6 +421,57 @@ def test_image_writer_output_is_pinned(tmp_path):
     _write_images(tmp_path)
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in tmp_path.iterdir()} == IMAGES_PINNED
+
+
+# Rows per chunk of the image writers at this width: the pinned images above
+# are smaller than one chunk.
+CHUNKED_WIDTH = 96
+CHUNK_ROWS = formats.ENCODE_CHUNK_PIXELS // CHUNKED_WIDTH
+
+
+@pytest.mark.parametrize("height", [1, CHUNK_ROWS - 1, CHUNK_ROWS,
+                                    CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3])
+@pytest.mark.parametrize("mode", ["linear16_ppm", "display8_ppm"])
+def test_rgb_writer_chunks_give_the_whole_frame_codes(tmp_path, height, mode):
+    rgb = random_rgb(height, CHUNKED_WIDTH, seed=height, lo=-0.1, hi=1.1)
+    if mode == "linear16_ppm":
+        codes = np.floor(np.clip(rgb.data, 0.0, 1.0) * 65535.0 + 0.5).astype(">u2")
+        maxval = 65535
+    else:
+        codes, maxval = isp.encode_display(rgb, gamma=2.4), 255
+    formats.write_rgb(rgb, tmp_path / "out.ppm", mode=mode, gamma=2.4)
+    assert (tmp_path / "out.ppm").read_bytes() == (
+        f"P6\n{CHUNKED_WIDTH} {height}\n{maxval}\n".encode() + codes.tobytes())
+
+
+def test_raw_and_gray_writers_chunks_give_the_whole_frame_codes(tmp_path):
+    height = 2 * CHUNK_ROWS + 2
+    bayer = random_bayer(height, CHUNKED_WIDTH, seed=5)
+    formats.write_raw(bayer, tmp_path / "raw.pgm")
+    span = bayer.white_level - bayer.black_level
+    codes = np.floor(bayer.black_level + bayer.data * span + 0.5).astype(">u2")
+    assert (tmp_path / "raw.pgm").read_bytes() == (
+        f"P5\n{CHUNKED_WIDTH} {height}\n65535\n".encode() + codes.tobytes())
+    formats.write_gray8(GrayImage(bayer.data), tmp_path / "gray.pgm")
+    codes = np.floor(bayer.data * 255.0 + 0.5).astype(np.uint8)
+    assert (tmp_path / "gray.pgm").read_bytes() == (
+        f"P5\n{CHUNKED_WIDTH} {height}\n255\n".encode() + codes.tobytes())
+
+
+@pytest.mark.parametrize("mode", ["linear16_ppm", "display8_ppm"])
+def test_rgb_writer_holds_the_codes_and_one_chunk(tmp_path, mode):
+    # 2^19 pixels, 8 chunks: the file's codes are a quarter (16-bit) or an
+    # eighth (8-bit) of the float64 frame, and one chunk's float temporary
+    # is 1/8 of it; quantizing the whole frame at once holds a float
+    # temporary of the frame's size
+    rgb = random_rgb(2048, 256, seed=1)
+    tracemalloc.start()
+    try:
+        formats.write_rgb(rgb, tmp_path / "out.ppm", mode=mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rgb.data.nbytes / 2
 
 
 def test_integer_where_a_float_is_expected(tmp_path):
