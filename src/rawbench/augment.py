@@ -112,6 +112,10 @@ class AugmentConfig:
 
 
 BRANCHES = ("original", "brightness", "chroma", "quality")
+# The keys of augment_pipeline's params over all branches, in the column
+# order of the CLI's coefficients.csv.
+PARAM_KEYS = ("omega", "omega_r", "omega_g", "omega_b", "kind", "size",
+              "angle", "r1", "r2", "awgn_sigma")
 
 
 def sample_truncated_normal(tn: TruncatedNormal, rng: RngStream) -> float:

@@ -11,9 +11,8 @@ each entry from the entry's own seed.
 
 Exit codes (EXIT_CODES maps the errors; the first matching row wins):
   0  success
-  2  usage: a bad option (argparse), corrupt without --spec or --kind,
-     augment --n below 1, corrupt or bench --jobs below 1
-  3  MissingDependencyError: a required side input was not supplied
+  2  usage: argparse refused the command line (an unknown option or kind, a
+     missing or conflicting input flag, --jobs or --n below 1)
   4  FormatError: a file failed validation (formats.E_* codes)
   5  ParameterError, DimensionError: invalid parameters or dimensions
   6  MetricError: the metric is undefined for the records
@@ -33,15 +32,13 @@ from . import formats as fmt
 from . import isp
 from . import metrics as met
 from . import raw as rawmod
-from .errors import (DimensionError, FormatError, MetricError,
-                     MissingDependencyError, ParameterError)
+from .errors import DimensionError, FormatError, MetricError, ParameterError
 from .fit import FitConfig, fit_isp_params
 from .pool import parallel_map
 from .rng import SEED_LIMIT, RngStream, derive_key
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_MISSING_DEP = 3
+EXIT_USAGE = 2  # argparse's own SystemExit code
 EXIT_FORMAT = 4
 EXIT_INVALID = 5
 EXIT_METRIC = 6
@@ -49,13 +46,23 @@ EXIT_UNEXPECTED = 1
 
 # (error class, exit code), checked in order
 EXIT_CODES = (
-    (MissingDependencyError, EXIT_MISSING_DEP),
     (FormatError, EXIT_FORMAT),
     (ParameterError, EXIT_INVALID),
     (DimensionError, EXIT_INVALID),
     (MetricError, EXIT_METRIC),
     (OSError, EXIT_FORMAT),
 )
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of --jobs and --n."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+    return value
 
 
 def _default_seed(value) -> int:
@@ -104,18 +111,24 @@ def cmd_develop(args) -> int:
 def _run_entry(entry_args):
     """One (image_id, spec) job; used by both sweep and bench."""
     image_id, spec, rgb, depth, flare, out_dir = entry_args
-    if depth is None and cor.REGISTRY[spec.kind].needs_depth:
-        depth = cor.procedural_depth(rgb.height, rgb.width, spec.seed)
     result = cor.apply_corruption(spec, rgb, depth=depth, flare=flare)
     out_path = Path(out_dir) / f"{image_id}__{spec.kind}__{spec.seed}.ppm"
     fmt.write_rgb(result, out_path)
     return f"{image_id},{spec.kind},{spec.seed},{_sha256(out_path)}"
 
 
+def _run_entries(entries, rgb_for, depth, flare, out_dir: Path, n_jobs: int):
+    """Run (image_id, spec) entries on n_jobs threads, each into its own
+    file under out_dir, and list their hashes in out_dir/hashes.txt.
+    `rgb_for(image_id)` loads every input before out_dir is created."""
+    jobs = [(image_id, spec, rgb_for(image_id), depth, flare, out_dir)
+            for image_id, spec in entries]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    lines = parallel_map(_run_entry, jobs, n_jobs)
+    (out_dir / "hashes.txt").write_text("\n".join(lines) + "\n")
+
+
 def cmd_corrupt(args) -> int:
-    if args.jobs < 1:
-        print("corrupt: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     rgb = _load_input_rgb(args.input)
     depth = fmt.read_depth(args.depth) if args.depth else None
     flare = fmt.read_asset(args.flare) if args.flare else None
@@ -124,31 +137,19 @@ def cmd_corrupt(args) -> int:
         image_id = Path(args.input).stem  # the manifest's id: checked first
         fmt.check_image_id(image_id, f"{args.input}: input stem")
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         entries = [(image_id, cor.CorruptionSpec(kind=k, seed=derive_key(seed, i) % 2**31))
                    for i, k in enumerate(cor.KINDS)]
-        jobs = [(image_id, spec, rgb, depth, flare, out_dir)
-                for _, spec in entries]
-        lines = parallel_map(_run_entry, jobs, args.jobs)
-        (out_dir / "hashes.txt").write_text("\n".join(lines) + "\n")
+        _run_entries(entries, lambda _: rgb, depth, flare, out_dir, args.jobs)
         fmt.write_bench_manifest(seed, entries, out_dir / "manifest.json")
         return EXIT_OK
-    if args.spec:
-        spec = fmt.read_corruption_spec(args.spec)
-    elif args.kind:
-        spec = cor.CorruptionSpec(kind=args.kind, seed=seed)
-    else:
-        print("corrupt: need --spec or --kind", file=sys.stderr)
-        return EXIT_USAGE
+    spec = (fmt.read_corruption_spec(args.spec) if args.spec
+            else cor.CorruptionSpec(kind=args.kind, seed=seed))
     result = cor.apply_corruption(spec, rgb, depth=depth, flare=flare)
     fmt.write_rgb(result, args.out)
     return EXIT_OK
 
 
 def cmd_augment(args) -> int:
-    if args.n < 1:
-        print("augment: --n must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     rgb = _load_input_rgb(args.input)
     config = (fmt.read_augment_config(args.augment_config)
               if args.augment_config else aug.AugmentConfig())
@@ -156,48 +157,34 @@ def cmd_augment(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).stem
-    columns = ["sample_index", "branch", "omega", "omega_r", "omega_g",
-               "omega_b", "kind", "size", "angle", "r1", "r2", "awgn_sigma"]
 
     def sample(i):
         """Sample i from its own stream; returns its coefficient row."""
         rng = RngStream.from_seed(seed, stream_index=i)
         out, branch, params = aug.augment_pipeline(rgb, config, rng)
         fmt.write_rgb(out, out_dir / f"{stem}_aug_{i:04d}.ppm")
-        return [str(i), branch] + [str(params.get(c, "")) for c in columns[2:]]
+        return [str(i), branch] + [str(params.get(k, "")) for k in aug.PARAM_KEYS]
 
     rows = parallel_map(sample, range(args.n))
-    lines = [",".join(columns)] + [",".join(r) for r in rows]
+    header = ("sample_index", "branch") + aug.PARAM_KEYS
+    lines = [",".join(header)] + [",".join(r) for r in rows]
     (out_dir / "coefficients.csv").write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    if args.jobs < 1:
-        print("bench: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    master_seed, entries = fmt.read_bench_manifest(args.manifest)
-    out_dir = Path(args.out)
+    _, entries = fmt.read_bench_manifest(args.manifest)
     depth = fmt.read_depth(args.depth) if args.depth else None
     flare = fmt.read_asset(args.flare) if args.flare else None
     cache: dict[str, rawmod.LinearRgbImage] = {}
 
     def rgb_for(image_id: str):
-        if image_id not in cache:
-            if args.raw:
-                cache[image_id] = _load_input_rgb(args.raw)
-            elif args.input_dir:
-                cache[image_id] = _load_input_rgb(
-                    Path(args.input_dir) / f"{image_id}.pgm")
-            else:
-                raise MissingDependencyError("raw or input-dir")
-        return cache[image_id]
+        path = args.raw or str(Path(args.input_dir) / f"{image_id}.pgm")
+        if path not in cache:
+            cache[path] = _load_input_rgb(path)
+        return cache[path]
 
-    jobs = [(image_id, spec, rgb_for(image_id), depth, flare, out_dir)
-            for image_id, spec in entries]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lines = parallel_map(_run_entry, jobs, args.jobs)
-    (out_dir / "hashes.txt").write_text("\n".join(lines) + "\n")
+    _run_entries(entries, rgb_for, depth, flare, Path(args.out), args.jobs)
     return EXIT_OK
 
 
@@ -249,32 +236,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corrupt", help="apply one corruption (or --sweep all 17)")
     p.add_argument("--input", required=True)
-    p.add_argument("--spec")
-    p.add_argument("--kind", choices=cor.KINDS)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--spec")
+    source.add_argument("--kind", choices=cor.KINDS)
+    source.add_argument("--sweep", action="store_true")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--depth")
     p.add_argument("--flare")
-    p.add_argument("--sweep", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_corrupt)
 
     p = sub.add_parser("augment", help="emit n augmented variants + coefficients")
     p.add_argument("--input", required=True)
     p.add_argument("--augment-config")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("bench", help="execute a benchmark manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--raw", help="single fixture used for every entry")
-    p.add_argument("--input-dir", help="directory of <image_id>.pgm containers")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--raw", help="single fixture used for every entry")
+    source.add_argument("--input-dir", help="directory of <image_id>.pgm containers")
     p.add_argument("--out", required=True)
     p.add_argument("--depth")
     p.add_argument("--flare")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("fit", help="fit pipeline parameters to a target image")

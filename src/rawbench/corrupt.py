@@ -5,9 +5,11 @@ seeded dispatcher.
 Each kind is one entry of REGISTRY: its parameters in draw order, the
 function that runs it, whether it needs a depth map or uses a flare layer,
 and, for the two sensor kinds, its variant on the Bayer mosaic. KINDS,
-sampling, dispatch, `corrupt_bayer`, spec-file validation (formats) and the
-CLI's depth fallback all read that table, so adding a kind is one registry
-entry plus one function.
+sampling, dispatch, `corrupt_bayer` and spec-file validation (formats) all
+read that table, so adding a kind is one registry entry plus one function.
+Dispatch gives a kind that needs a depth map or uses a flare layer, given
+none, a procedural one seeded by the spec's seed; so a sweep entry replays
+from its kind and seed alone.
 
 Noise models add zero-mean Gaussians with the stated signal-dependent
 variance (shot + read). Noise draws happen even at zero amplitude so
@@ -21,8 +23,8 @@ from typing import Callable
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-from .errors import (DimensionError, MissingDependencyError, ParameterError,
-                     is_finite_real, is_int, is_real)
+from .errors import (DimensionError, ParameterError, is_finite_real, is_int,
+                     is_real)
 from .raw import BayerImage, LinearRgbImage, spatial_filter
 from .rng import RngStream
 
@@ -597,15 +599,14 @@ def apply_corruption(spec: CorruptionSpec, x: LinearRgbImage,
                      flare: np.ndarray | None = None) -> LinearRgbImage:
     """Dispatch one corruption with parameters drawn from spec.seed.
 
-    Kinds that need a depth map raise MissingDependencyError without one;
-    kinds that use a flare layer fall back to a procedural one when no
-    asset is supplied.
+    A kind that needs a depth map or uses a flare layer, given none, falls
+    back to `procedural_depth` or `procedural_flare` seeded by spec.seed.
     """
     kind = REGISTRY[spec.kind]
     rng = RngStream.from_seed(spec.seed)
     p = sample_params(spec, rng)
     if kind.needs_depth and depth is None:
-        raise MissingDependencyError("depth")
+        depth = procedural_depth(x.height, x.width, spec.seed)
     if kind.uses_flare and flare is None:
         flare = procedural_flare(x.height, x.width, spec.seed, peak=p["peak"])
     return kind.run(x, p, rng, depth, flare)

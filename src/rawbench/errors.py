@@ -1,5 +1,6 @@
-"""Shared exception types, which the CLI maps onto distinct exit codes, and
-the type predicates the checks that raise them use."""
+"""Shared exception types, which the CLI maps onto exit codes 4-6
+(`cli.EXIT_CODES`), and the type predicates the checks that raise them use.
+No side input is required: corruptions fall back to procedural layers."""
 
 import math
 
@@ -36,14 +37,6 @@ class ParameterError(RawBenchError, ValueError):
 
 class DimensionError(RawBenchError, ValueError):
     """Image/array shapes do not line up."""
-
-
-class MissingDependencyError(RawBenchError, RuntimeError):
-    """A required side input (depth map, asset image) was not supplied."""
-
-    def __init__(self, name, message=None):
-        self.name = name
-        super().__init__(message or f"missing required side input: {name}")
 
 
 class FormatError(RawBenchError, ValueError):

@@ -48,7 +48,7 @@ from .isp import (PARAM_DIMS, IspParams, constrain_params,
                   gain_denoise_sharpen, make_gaussian_kernel,
                   sog_white_balance)
 from .raw import BayerImage, LinearRgbImage, demosaic_bilinear
-from .rng import RngStream
+from .rng import SEED_LIMIT, RngStream
 
 FIT_DIMS = PARAM_DIMS
 LUT_DIMS = 3
@@ -83,6 +83,8 @@ class FitConfig:
         for name in ("budget", "population", "seed", "kernel_size"):
             if not is_int(getattr(self, name)):
                 raise ParameterError(f"{name} must be an integer")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ParameterError("seed must be in [0, 2^64)")
         if not isinstance(self.fit_lut, bool):
             raise ParameterError("fit_lut must be true or false")
         if not (is_finite_real(self.init_step) and 0.0 < self.init_step <= 1.0):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rawbench import AugmentConfig, TruncatedNormal, augment, augment_pipeline
-from rawbench.augment import (BRANCHES, augment_brightness,
+from rawbench.augment import (BRANCHES, PARAM_KEYS, augment_brightness,
                               augment_chromaticity, augment_quality,
                               sample_branch, sample_brightness_coeff,
                               sample_chroma_coeffs, sample_quality_params,
@@ -192,6 +192,15 @@ class TestPipeline:
             seq_b.append(br_b)
             assert np.array_equal(out_a.data, out_b.data)
         assert seq_a == seq_b
+
+    def test_param_keys_cover_every_branch(self):
+        rgb = random_rgb(8, 8, seed=19)
+        keys = {branch: set() for branch in BRANCHES}
+        for seed in range(40):
+            _, branch, params = augment_pipeline(rgb, CONFIG, RngStream.from_seed(seed))
+            keys[branch] |= set(params)
+        assert all(keys[branch] for branch in BRANCHES[1:])  # each one drawn
+        assert set().union(*keys.values()) == set(PARAM_KEYS)
 
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ParameterError):

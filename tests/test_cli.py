@@ -88,6 +88,13 @@ def _write_json(path, obj):
     return path
 
 
+def _usage_exit(argv):
+    """The code cli.main exits with when argparse refuses argv."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    return exc.value.code
+
+
 def _spec(tmp_path, kind="low_light", seed=3, params=None):
     return _write_json(tmp_path / "spec.json",
                        {"schema_version": 1, "kind": kind, "seed": seed,
@@ -249,18 +256,10 @@ class TestBenchManifest:
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage(self, tmp_path, raw_path, capsys, jobs):
-        out = tmp_path / "out"
-        assert cli.main(["bench", "--manifest", str(self._manifest(tmp_path)),
-                         "--raw", str(raw_path), "--jobs", jobs,
-                         "--out", str(out)]) == cli.EXIT_USAGE
-        assert "--jobs" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_without_raw_or_input_dir_is_missing_dependency(self, tmp_path):
-        out = tmp_path / "out"
-        assert cli.main(["bench", "--manifest", str(self._manifest(tmp_path)),
-                         "--out", str(out)]) == cli.EXIT_MISSING_DEP
-        assert not out.exists()
+        assert _usage_exit(["bench", "--manifest", str(self._manifest(tmp_path)),
+                            "--raw", str(raw_path), "--jobs", jobs,
+                            "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+        assert "argument --jobs: must be an integer >= 1" in capsys.readouterr().err
 
     def test_written_manifest_runs(self, tmp_path, raw_path):
         assert self._run(tmp_path, raw_path,
@@ -388,11 +387,9 @@ class TestAugmentConfig:
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_sweep_jobs_below_one_is_usage(tmp_path, raw_path, capsys, jobs):
-    out = tmp_path / "out"
-    assert cli.main(["corrupt", "--input", str(raw_path), "--sweep",
-                     "--jobs", jobs, "--out", str(out)]) == cli.EXIT_USAGE
-    assert "--jobs" in capsys.readouterr().err
-    assert not out.exists()
+    assert _usage_exit(["corrupt", "--input", str(raw_path), "--sweep",
+                        "--jobs", jobs, "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    assert "argument --jobs: must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_sweep_of_an_input_stem_that_is_no_image_id_is_rejected(tmp_path, capsys):
@@ -409,18 +406,55 @@ def test_sweep_of_an_input_stem_that_is_no_image_id_is_rejected(tmp_path, capsys
 
 
 def test_corrupt_without_spec_or_kind_is_usage(tmp_path, raw_path, capsys):
-    out = tmp_path / "out.ppm"
-    assert cli.main(["corrupt", "--input", str(raw_path),
-                     "--out", str(out)]) == cli.EXIT_USAGE
-    assert "--spec or --kind" in capsys.readouterr().err
+    assert _usage_exit(["corrupt", "--input", str(raw_path),
+                        "--out", str(tmp_path / "out.ppm")]) == cli.EXIT_USAGE
+    assert "one of the arguments --spec --kind --sweep is required" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["corrupt", "--input", "{raw}"],
+    ["corrupt", "--input", "{raw}", "--spec", "{spec}", "--kind", "fog"],
+    ["corrupt", "--input", "{raw}", "--kind", "fog", "--sweep"],
+    ["corrupt", "--input", "{raw}", "--spec", "{spec}", "--sweep"],
+    ["corrupt", "--input", "{raw}", "--kind", "bogus"],
+    ["corrupt", "--input", "{raw}", "--kind", "fog", "--jobs", "0"],
+    ["corrupt", "--input", "{raw}", "--sweep", "--jobs", "0"],
+    ["bench", "--manifest", "{manifest}", "--raw", "{raw}", "--jobs", "0"],
+    ["augment", "--input", "{raw}", "--n", "0"],
+    ["bench", "--manifest", "{manifest}"],
+    ["bench", "--manifest", "{empty}"],
+    ["bench", "--manifest", "{manifest}", "--raw", "{raw}", "--input-dir", "{dir}"],
+], ids=["corrupt-no-source", "corrupt-spec-kind", "corrupt-kind-sweep",
+        "corrupt-spec-sweep", "corrupt-bogus-kind", "corrupt-jobs-0",
+        "sweep-jobs-0", "bench-jobs-0", "augment-n-0", "bench-no-input",
+        "bench-no-input-empty-manifest", "bench-raw-and-input-dir"])
+def test_usage_error_exits_2_and_writes_nothing(tmp_path, raw_path, argv):
+    entry = {"image_id": "scene", "kind": "low_light", "seed": 3}
+    paths = {"raw": raw_path, "spec": _spec(tmp_path), "dir": tmp_path,
+             "manifest": _write_json(tmp_path / "manifest.json", {
+                 "schema_version": 1, "master_seed": 5, "entries": [entry]}),
+             "empty": _write_json(tmp_path / "empty.json", {
+                 "schema_version": 1, "master_seed": 5, "entries": []})}
+    out = tmp_path / "out"
+    argv = [arg.format(**paths) for arg in argv] + ["--out", str(out)]
+    assert _usage_exit(argv) == cli.EXIT_USAGE
     assert not out.exists()
 
 
-def test_fog_without_depth_is_missing_dependency(tmp_path, raw_path):
-    out = tmp_path / "out.ppm"
-    assert cli.main(["corrupt", "--input", str(raw_path), "--kind", "fog",
-                     "--out", str(out)]) == cli.EXIT_MISSING_DEP
-    assert not out.exists()
+@pytest.mark.parametrize("kind", ["fog", "rain_fog"])
+def test_single_corrupt_replays_its_sweep_entry(tmp_path, raw_path, kind):
+    # without --depth, both fall back to the same procedural depth map
+    sweep = tmp_path / "sweep"
+    assert cli.main(["corrupt", "--input", str(raw_path), "--sweep", "--seed",
+                     "7", "--out", str(sweep)]) == cli.EXIT_OK
+    _, entries = formats.read_bench_manifest(sweep / "manifest.json")
+    [(image_id, spec)] = [e for e in entries if e[1].kind == kind]
+    single = tmp_path / "single.ppm"
+    assert cli.main(["corrupt", "--input", str(raw_path), "--kind", kind,
+                     "--seed", str(spec.seed), "--out", str(single)]) == cli.EXIT_OK
+    entry_file = sweep / f"{image_id}__{kind}__{spec.seed}.ppm"
+    assert single.read_bytes() == entry_file.read_bytes()
 
 
 def test_reference_without_a_condition_is_undefined(tmp_path, capsys):

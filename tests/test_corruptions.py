@@ -14,8 +14,7 @@ from rawbench.corrupt import (apply_corruption, apply_sensor_matrix,
                               corrupt_sensor_noise, corrupt_snow, corrupt_vignetting,
                               defocus_psf, motion_blur_psf, procedural_depth,
                               procedural_flare, snow_mask)
-from rawbench.errors import (DimensionError, MissingDependencyError,
-                             ParameterError)
+from rawbench.errors import DimensionError, ParameterError
 from rawbench.rng import RngStream
 
 from conftest import random_bayer, random_rgb
@@ -426,15 +425,12 @@ class TestDispatcher:
         b = apply_corruption(spec, x)
         assert np.array_equal(a.data, b.data)
 
-    def test_fog_without_depth_errors(self):
-        with pytest.raises(MissingDependencyError) as exc:
-            apply_corruption(CorruptionSpec(kind="fog", seed=1), _structured(8, 8))
-        assert exc.value.name == "depth"
-
-    def test_rain_fog_without_depth_errors(self):
-        with pytest.raises(MissingDependencyError):
-            apply_corruption(CorruptionSpec(kind="rain_fog", seed=1),
-                             _structured(8, 8))
+    @pytest.mark.parametrize("kind", ["fog", "rain_fog"])
+    def test_depth_kind_without_depth_uses_procedural_fallback(self, kind):
+        x = _structured(12, 8)
+        spec = CorruptionSpec(kind=kind, seed=1)
+        fallback = apply_corruption(spec, x, depth=procedural_depth(12, 8, seed=1))
+        assert np.array_equal(apply_corruption(spec, x).data, fallback.data)
 
     def test_flare_uses_procedural_fallback(self):
         x = _structured(24, 24)

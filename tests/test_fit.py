@@ -296,6 +296,9 @@ class TestFitCli:
         {"bounds": 5},
         {"bounds": [["a", 1]] * FIT_DIMS},
         {"bounds": [[0, float("nan")]] * FIT_DIMS},
+        {"seed": -5},
+        {"seed": 2**64},  # would replay seed 0's stream
+        {"seed": 10**400},
     ])
     def test_bad_config_exits_format(self, tmp_path, inputs, capsys, fields):
         raw_path, target_path = inputs
@@ -321,4 +324,9 @@ def test_fit_config_accepts_numpy_scalars():
     config = FitConfig(budget=np.int64(5), seed=np.int32(2),
                        init_step=np.float64(0.5), kernel_size=np.int64(3))
     assert config.budget == 5 and config.init_step == 0.5
+
+
+def test_fit_config_accepts_the_largest_64_bit_seed():
+    assert FitConfig(seed=2**64 - 1).seed == 2**64 - 1
+    assert FitConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
