@@ -5,6 +5,9 @@ one library operation; all randomness flows from --seed (or RAWBENCH_SEED).
 (`pool.parallel_map`). Each sample or entry draws from its own stream and
 writes its own file, so neither the thread count nor --jobs changes results.
 
+params.json does not hold the fit's kernel size (13 taps by default): pass
+it to `develop --kernel-size`, which otherwise uses `default_kernel_size`.
+
 A bench manifest's master_seed records the seed from which `corrupt
 --sweep` derived each entry's seed. `bench` does not read it: it replays
 each entry from the entry's own seed.
@@ -12,7 +15,8 @@ each entry from the entry's own seed.
 Exit codes (EXIT_CODES maps the errors; the first matching row wins):
   0  success
   2  usage: argparse refused the command line (an unknown option or kind, a
-     missing or conflicting input flag, --jobs or --n below 1)
+     missing or conflicting input flag, an option the mode ignores, --jobs
+     or --n below 1)
   4  FormatError: a file failed validation (formats.E_* codes)
   5  ParameterError, DimensionError: invalid parameters or dimensions
   6  MetricError: the metric is undefined for the records
@@ -42,7 +46,6 @@ EXIT_USAGE = 2  # argparse's own SystemExit code
 EXIT_FORMAT = 4
 EXIT_INVALID = 5
 EXIT_METRIC = 6
-EXIT_UNEXPECTED = 1
 
 # (error class, exit code), checked in order
 EXIT_CODES = (
@@ -93,18 +96,20 @@ def _sha256(path) -> str:
 def cmd_develop(args) -> int:
     bayer = fmt.read_raw(args.raw)
     params = fmt.read_isp_params(args.params) if args.params else isp.IspParams.identity()
+    stages = {}
     if args.dump_stages:
         stage_dir = Path(args.dump_stages)
         stage_dir.mkdir(parents=True, exist_ok=True)  # fails before --out is written
-        out, stages = isp.develop(bayer, params, kernel_size=args.kernel_size,
-                                  return_stages=True)
+        demosaiced = rawmod.demosaic_bilinear(bayer)  # the reference, one thread
+        out, stages = isp.develop_linear(demosaiced, params, args.kernel_size,
+                                         return_stages=True)
+        stages = {"demosaiced": demosaiced, **stages, "final": out}
     else:
         out = isp.develop(bayer, params, kernel_size=args.kernel_size)
     mode = "display8_ppm" if args.display8 else "linear16_ppm"
-    fmt.write_rgb(out, args.out, mode=mode, gamma=args.gamma)
-    if args.dump_stages:
-        for name, img in {**stages, "final": out}.items():
-            fmt.write_rgb(img, stage_dir / f"{name}.ppm")
+    fmt.write_rgb(out, args.out, mode, 2.2 if args.gamma is None else args.gamma)
+    for name, img in stages.items():
+        fmt.write_rgb(img, stage_dir / f"{name}.ppm")
     return EXIT_OK
 
 
@@ -139,7 +144,7 @@ def cmd_corrupt(args) -> int:
         out_dir = Path(args.out)
         entries = [(image_id, cor.CorruptionSpec(kind=k, seed=derive_key(seed, i) % 2**31))
                    for i, k in enumerate(cor.KINDS)]
-        _run_entries(entries, lambda _: rgb, depth, flare, out_dir, args.jobs)
+        _run_entries(entries, lambda _: rgb, depth, flare, out_dir, args.jobs or 1)
         fmt.write_bench_manifest(seed, entries, out_dir / "manifest.json")
         return EXIT_OK
     spec = (fmt.read_corruption_spec(args.spec) if args.spec
@@ -198,7 +203,8 @@ def cmd_fit(args) -> int:
     fmt.write_isp_params(params, out_dir / "params.json")
     fmt.write_fit_trace(trace, out_dir / "trace.csv")
     best = min(loss for _, _, loss in trace.entries)
-    print(f"best loss {best:.6g} after {len(trace.entries)} evaluations")
+    print(f"best loss {best:.6g} after {len(trace.entries)} evaluations; "
+          f"develop with --kernel-size {config.kernel_size} to reproduce it")
     return EXIT_OK
 
 
@@ -229,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params")
     p.add_argument("--out", required=True)
     p.add_argument("--display8", action="store_true")
-    p.add_argument("--gamma", type=float, default=2.2)
+    p.add_argument("--gamma", type=float, help="with --display8 only (default 2.2)")
     p.add_argument("--kernel-size", type=int, default=None)
     p.add_argument("--dump-stages")
     p.set_defaults(func=cmd_develop)
@@ -244,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--depth")
     p.add_argument("--flare")
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_positive_int, help="with --sweep only (default 1)")
     p.set_defaults(func=cmd_corrupt)
 
     p = sub.add_parser("augment", help="emit n augmented variants + coefficients")
@@ -289,6 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # an option that the mode would ignore exits 2 before any file is touched
+    if args.command == "develop" and args.gamma is not None and not args.display8:
+        parser.error("argument --gamma: applies only with --display8")
+    if args.command == "corrupt" and args.spec and args.seed is not None:
+        parser.error("argument --seed: not allowed with --spec, whose file holds the seed")
+    if args.command == "corrupt" and args.jobs is not None and not args.sweep:
+        parser.error("argument --jobs: applies only with --sweep")
     try:
         return args.func(args)
     except tuple(cls for cls, _ in EXIT_CODES) as e:

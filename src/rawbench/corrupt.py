@@ -25,6 +25,7 @@ from scipy.ndimage import map_coordinates
 
 from .errors import (DimensionError, ParameterError, is_finite_real, is_int,
                      is_real)
+from .isp import apply_ccm
 from .raw import BayerImage, LinearRgbImage, spatial_filter
 from .rng import RngStream
 
@@ -92,14 +93,18 @@ def corrupt_relight(x: LinearRgbImage, l: float, noise: NoiseModel,
     return LinearRgbImage(signal + _signal_noise(signal, noise, rng))
 
 
+def _flare_layer(x: LinearRgbImage, flare: np.ndarray) -> np.ndarray:
+    """The (H, W) or (H, W, 3) flare layer checked against x, as (H, W, C)."""
+    flare = np.asarray(flare, dtype=np.float64)
+    _check_same_shape(x.data, flare, "flare layer")
+    return flare[..., None] if flare.ndim == 2 else flare
+
+
 def corrupt_flare(x: LinearRgbImage, flare: np.ndarray, sigma2_scale: float,
                   rng: RngStream) -> LinearRgbImage:
     """Additive flare layer plus Gaussian noise whose variance is one
     chi-square(1) draw scaled by sigma2_scale."""
-    flare = np.asarray(flare, dtype=np.float64)
-    _check_same_shape(x.data, flare, "flare layer")
-    if flare.ndim == 2:
-        flare = flare[..., None]
+    flare = _flare_layer(x, flare)
     sigma2 = sigma2_scale * rng.chisq1()
     n = math.sqrt(sigma2) * rng.normals(x.data.size).reshape(x.data.shape)
     return LinearRgbImage(x.data + flare + n)
@@ -108,10 +113,7 @@ def corrupt_flare(x: LinearRgbImage, flare: np.ndarray, sigma2_scale: float,
 def corrupt_low_flare(x: LinearRgbImage, l: float, flare: np.ndarray,
                       noise: NoiseModel, rng: RngStream) -> LinearRgbImage:
     """Low-light relight composed with an additive flare layer."""
-    flare = np.asarray(flare, dtype=np.float64)
-    _check_same_shape(x.data, flare, "flare layer")
-    if flare.ndim == 2:
-        flare = flare[..., None]
+    flare = _flare_layer(x, flare)
     signal = l * x.data
     n = _signal_noise(signal, noise, rng)
     return LinearRgbImage(signal + flare + n)
@@ -271,23 +273,21 @@ def corrupt_defocus_blur(x: LinearRgbImage, radius: float) -> LinearRgbImage:
 
 
 def _sensor_noise(data: np.ndarray, noise: NoiseModel, bits: int,
-                  rng: RngStream, quantize: bool = True) -> np.ndarray:
+                  rng: RngStream) -> np.ndarray:
     """Sensor noise on an (H, W) mosaic or an (H, W, 3) image."""
     if not 1 <= bits <= 64:
         raise ParameterError("bit depth must lie in [1, 64]")
     out = data + _signal_noise(data, noise, rng)
-    if quantize:
-        half_lsb = 1.0 / 2.0 ** (bits + 1)
-        q = (rng.uniforms(data.size).reshape(data.shape) * 2.0 - 1.0) * half_lsb
-        out = out + q
-    return out
+    half_lsb = 1.0 / 2.0 ** (bits + 1)
+    q = (rng.uniforms(data.size).reshape(data.shape) * 2.0 - 1.0) * half_lsb
+    return out + q
 
 
 def corrupt_sensor_noise(x: LinearRgbImage, noise: NoiseModel, bits: int,
-                         rng: RngStream, quantize: bool = True) -> LinearRgbImage:
+                         rng: RngStream) -> LinearRgbImage:
     """Shot/read noise plus ADC quantization noise, uniform over half an LSB
     each way: U(-1/2^(bits+1), +1/2^(bits+1))."""
-    return LinearRgbImage(_sensor_noise(x.data, noise, bits, rng, quantize))
+    return LinearRgbImage(_sensor_noise(x.data, noise, bits, rng))
 
 
 def _cmos_damage(data: np.ndarray, dead_rows: int, hot_pixel_rate: float,
@@ -379,12 +379,10 @@ def corrupt_chromatic_aberration(x: LinearRgbImage, k1_r: float, k1_g: float,
 
 
 def apply_sensor_matrix(x: LinearRgbImage, m: np.ndarray) -> LinearRgbImage:
-    """Cross-sensor color stand-in: p -> p @ M, clamped to >= 0."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (3, 3) or not np.all(np.isfinite(m)):
-        raise ParameterError("sensor matrix must be a finite 3x3 matrix")
-    out = x.data.reshape(-1, 3) @ m
-    return LinearRgbImage(np.clip(out, 0.0, None).reshape(x.height, x.width, 3))
+    """Cross-sensor color stand-in: the ISP's colour correction p -> p @ M
+    (`isp.apply_ccm`), clamped to >= 0."""
+    out = apply_ccm(x, m).data
+    return LinearRgbImage(np.clip(out, 0.0, None, out=out))
 
 
 def procedural_depth(h: int, w: int, seed: int) -> DepthMap:

@@ -5,7 +5,8 @@ The search space is the unconstrained parameter vector of
 pre-activation and 9 CCM biases): 14 dimensions, mapped through
 constrain_params before every evaluation so only valid parameter sets are
 ever developed. LUT weights stay at identity unless the config
-enables the 3-dim output-bias perturbation.
+enables the 3-dim output-bias perturbation. The fitted params leave out
+config.kernel_size: develop them with it, not `isp.default_kernel_size`.
 
 One LossEvaluator, built once per fit, scores every search vector. It
 computes the same loss as develop_linear followed by image_loss, but

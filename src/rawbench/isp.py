@@ -358,17 +358,13 @@ def develop_linear(rgb: LinearRgbImage, params: IspParams,
                    "color_corrected": corrected}
 
 
-def develop(bayer: BayerImage, params: IspParams, kernel_size: int | None = None,
-            return_stages: bool = False):
+def develop(bayer: BayerImage, params: IspParams,
+            kernel_size: int | None = None) -> LinearRgbImage:
     """Run the full chain from mosaic to the final linear image.
 
-    Returns the final image, or (final, stages) where stages maps
-    'demosaiced'/'denoised'/'white_balanced'/'color_corrected' to the
-    intermediate images.
-
     The output is bit for bit demosaic_bilinear followed by the reference
-    `develop_linear`, but runs on `pool.WORKERS` threads (see the module
-    docstring):
+    `develop_linear` (which also returns the stages), but runs on
+    `pool.WORKERS` threads (see the module docstring):
 
     1. spatial pass: each band of BAND_ROWS rows is demosaiced and denoised
        from its rows plus `band_halo` rows on each side; its own rows go
@@ -378,14 +374,8 @@ def develop(bayer: BayerImage, params: IspParams, kernel_size: int | None = None
     3. colour pass, in place: gains, CCM and LUT over chunks of
        COLOUR_BLOCKS whole NILUT blocks.
 
-    A non-finite value in any band or chunk raises ParameterError. With
-    return_stages the reference develops the frame instead, on one thread.
+    A non-finite value in any band or chunk raises ParameterError.
     """
-    if return_stages:
-        demosaiced = demosaic_bilinear(bayer)
-        final, stages = develop_linear(demosaiced, params, kernel_size,
-                                       return_stages=True)
-        return final, {"demosaiced": demosaiced, **stages}
     kernel = _kernel(params, kernel_size)
     height = bayer.height
     out = np.empty(bayer.data.shape + (3,))

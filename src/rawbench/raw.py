@@ -99,10 +99,6 @@ class LinearRgbImage:
     def width(self) -> int:
         return self.data.shape[1]
 
-    @classmethod
-    def from_planes(cls, r, g, b) -> "LinearRgbImage":
-        return cls(np.stack([r, g, b], axis=-1).astype(np.float64, copy=False))
-
 
 @dataclass(frozen=True)
 class GrayImage:
@@ -301,7 +297,7 @@ def demosaic_bilinear(bayer: BayerImage) -> LinearRgbImage:
         # sample (index -1 -> 1), keeping the CFA parity across the edge.
         interp = spatial_filter(data * masks[c], kernel)
         planes.append(np.where(masks[c], data, interp))
-    return LinearRgbImage.from_planes(*planes)
+    return LinearRgbImage(np.stack(planes, axis=-1))
 
 
 def visualize_raw(bayer: BayerImage) -> GrayImage:

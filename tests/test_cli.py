@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rawbench import GrayImage, cli, formats, isp, visualize_raw
+from rawbench import (GrayImage, LinearRgbImage, cli, demosaic_bilinear, formats,
+                      isp, visualize_raw)
 from rawbench import augment as aug
 
 from conftest import random_bayer
@@ -48,21 +49,23 @@ class TestDevelop:
 
     def test_stages_only_requested_when_dumped(self, tmp_path, raw_path,
                                                monkeypatch):
+        # a plain run takes the banded develop; --dump-stages the reference,
+        # which returns the stages, with the same bytes
         requested = []
-        develop = isp.develop
+        for name in ("develop", "develop_linear"):
+            def spy(*args, _name=name, _fn=getattr(isp, name), **kwargs):
+                requested.append(_name)
+                return _fn(*args, **kwargs)
 
-        def spy(*args, **kwargs):
-            requested.append(kwargs.get("return_stages", False))
-            return develop(*args, **kwargs)
-
-        monkeypatch.setattr(isp, "develop", spy)
+            monkeypatch.setattr(isp, name, spy)
         plain, dumped = tmp_path / "plain.ppm", tmp_path / "dumped.ppm"
         stage_dir = tmp_path / "stages"
         assert cli.main(["develop", "--raw", str(raw_path),
                          "--out", str(plain)]) == cli.EXIT_OK
+        assert requested == ["develop"]
         assert cli.main(["develop", "--raw", str(raw_path), "--out",
                          str(dumped), "--dump-stages", str(stage_dir)]) == cli.EXIT_OK
-        assert requested == [False, True]
+        assert requested == ["develop", "develop_linear"]
         assert plain.read_bytes() == dumped.read_bytes()
         assert (stage_dir / "final.ppm").read_bytes() == dumped.read_bytes()
         assert sorted(p.stem for p in stage_dir.iterdir()) == [
@@ -425,13 +428,22 @@ def test_corrupt_without_spec_or_kind_is_usage(tmp_path, raw_path, capsys):
     ["bench", "--manifest", "{manifest}"],
     ["bench", "--manifest", "{empty}"],
     ["bench", "--manifest", "{manifest}", "--raw", "{raw}", "--input-dir", "{dir}"],
+    # options the mode would ignore; {missing} shows nothing is read first
+    ["corrupt", "--input", "{missing}", "--spec", "{spec}", "--seed", "1"],
+    ["corrupt", "--input", "{missing}", "--kind", "fog", "--jobs", "2"],
+    ["corrupt", "--input", "{missing}", "--spec", "{spec}", "--jobs", "2"],
+    ["develop", "--raw", "{missing}", "--gamma", "1.8"],
+    ["develop", "--raw", "{missing}", "--gamma", "-1"],
 ], ids=["corrupt-no-source", "corrupt-spec-kind", "corrupt-kind-sweep",
         "corrupt-spec-sweep", "corrupt-bogus-kind", "corrupt-jobs-0",
         "sweep-jobs-0", "bench-jobs-0", "augment-n-0", "bench-no-input",
-        "bench-no-input-empty-manifest", "bench-raw-and-input-dir"])
+        "bench-no-input-empty-manifest", "bench-raw-and-input-dir",
+        "corrupt-spec-seed", "corrupt-kind-jobs", "corrupt-spec-jobs",
+        "develop-gamma-without-display8", "develop-negative-gamma-without-display8"])
 def test_usage_error_exits_2_and_writes_nothing(tmp_path, raw_path, argv):
     entry = {"image_id": "scene", "kind": "low_light", "seed": 3}
     paths = {"raw": raw_path, "spec": _spec(tmp_path), "dir": tmp_path,
+             "missing": tmp_path / "missing.pgm",
              "manifest": _write_json(tmp_path / "manifest.json", {
                  "schema_version": 1, "master_seed": 5, "entries": [entry]}),
              "empty": _write_json(tmp_path / "empty.json", {
@@ -493,3 +505,86 @@ def test_csv_records_report_as_their_json(tmp_path):
                          "ref", "--out", str(out)]) == cli.EXIT_OK
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+# Every code each subcommand can return, from one command line each. Paths:
+# {raw} a 16^2 RAW, {small_*} 8^2 files that do not match it, {missing} no
+# file; {manifest} holds one fog entry and {records} a valid report.
+EXIT_MATRIX = [
+    ("develop", 0, ["--raw", "{raw}"]),
+    ("develop", 2, ["--raw", "{raw}", "--gamma", "1.8"]),
+    ("develop", 4, ["--raw", "{missing}"]),
+    ("develop", 5, ["--raw", "{raw}", "--display8", "--gamma", "0"]),
+    ("corrupt", 0, ["--input", "{raw}", "--kind", "fog", "--seed", "3"]),
+    ("corrupt", 2, ["--input", "{raw}", "--kind", "fog", "--jobs", "2"]),
+    ("corrupt", 4, ["--input", "{missing}", "--kind", "fog"]),
+    ("corrupt", 5, ["--input", "{raw}", "--kind", "fog", "--depth", "{small_depth}"]),
+    ("augment", 0, ["--input", "{raw}", "--n", "2"]),
+    ("augment", 2, ["--input", "{raw}", "--n", "0"]),
+    ("augment", 4, ["--input", "{missing}", "--n", "2"]),
+    ("augment", 5, ["--input", "{raw}", "--n", "2", "--seed", "-1"]),
+    ("bench", 0, ["--manifest", "{manifest}", "--raw", "{raw}"]),
+    ("bench", 2, ["--manifest", "{manifest}"]),
+    ("bench", 4, ["--manifest", "{missing}", "--raw", "{raw}"]),
+    ("bench", 5, ["--manifest", "{manifest}", "--raw", "{raw}", "--depth",
+                  "{small_depth}"]),
+    ("fit", 0, ["--raw", "{raw}", "--target", "{target}", "--fit-config", "{fit}"]),
+    ("fit", 2, ["--raw", "{raw}", "--fit-config", "{fit}"]),
+    ("fit", 4, ["--raw", "{raw}", "--target", "{missing}", "--fit-config", "{fit}"]),
+    ("fit", 5, ["--raw", "{raw}", "--target", "{small_target}", "--fit-config",
+                "{fit}"]),
+    ("visualize", 0, ["--raw", "{raw}"]),
+    ("visualize", 2, []),
+    ("visualize", 4, ["--raw", "{missing}"]),
+    ("report", 0, ["--records", "{records}", "--reference", "ref"]),
+    ("report", 2, ["--records", "{records}"]),
+    ("report", 4, ["--records", "{missing}", "--reference", "ref"]),
+    ("report", 5, ["--records", "{conflicting}", "--reference", "ref"]),
+    ("report", 6, ["--records", "{records}", "--reference", "nobody"]),
+]
+
+
+@pytest.mark.parametrize("command, code, args", EXIT_MATRIX,
+                         ids=[f"{c}-{code}" for c, code, _ in EXIT_MATRIX])
+def test_exit_code_matrix(tmp_path, raw_path, command, code, args):
+    rows = [("ref", "normal", 0.9), ("ref", "fog", 0.7),
+            ("m", "normal", 0.8), ("m", "fog", 0.6)]
+    paths = {
+        "raw": raw_path, "missing": tmp_path / "missing",
+        "small_depth": tmp_path / "depth.pgm", "target": tmp_path / "target.ppm",
+        "small_target": tmp_path / "small_target.ppm",
+        "fit": _write_json(tmp_path / "fit.json", {"schema_version": 1, "budget": 3}),
+        "manifest": _write_json(tmp_path / "manifest.json", {
+            "schema_version": 1, "master_seed": 5,
+            "entries": [{"image_id": "scene", "kind": "fog", "seed": 3}]}),
+        "records": _write_json(tmp_path / "records.json", [
+            {"method": m, "condition": c, "score": v} for m, c, v in rows]),
+        "conflicting": _write_json(tmp_path / "conflicting.json", [
+            {"method": m, "condition": c, "score": v}
+            for m, c, v in rows + [("m", "fog", 0.5)]]),
+    }
+    formats.write_gray8(GrayImage(np.full((8, 8), 0.5)), paths["small_depth"])
+    rgb = demosaic_bilinear(formats.read_raw(raw_path))
+    formats.write_rgb(rgb, paths["target"])
+    formats.write_rgb(LinearRgbImage(rgb.data[:8, :8]), paths["small_target"])
+    out = tmp_path / "out"
+    argv = [command] + [a.format(**paths) for a in args] + ["--out", str(out)]
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:  # argparse's refusal
+        got = exc.code
+    assert got == code
+    if code == cli.EXIT_OK:
+        assert out.exists()
+
+
+def test_cli_import_does_not_load_scipy_fft():
+    # raw._fft_filter uses numpy.fft: importing scipy.fft adds about 35 ms to
+    # every command's start-up
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rawbench.cli; print('scipy.fft' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    assert run.stdout.strip() == "False"

@@ -278,11 +278,6 @@ class TestDefocusBlur:
 
 
 class TestSensorNoise:
-    def test_zero_noise_no_quant_identity(self, rgb16):
-        out = corrupt_sensor_noise(rgb16, ZERO_NOISE, 12,
-                                   RngStream.from_seed(0), quantize=False)
-        assert np.array_equal(out.data, rgb16.data)
-
     def test_quantization_bound(self):
         x = _const(64, 64, 0.5)
         out = corrupt_sensor_noise(x, ZERO_NOISE, 12, RngStream.from_seed(3))
@@ -292,7 +287,7 @@ class TestSensorNoise:
     def test_read_noise_std(self):
         x = _const(256, 256, 0.5)
         out = corrupt_sensor_noise(x, NoiseModel(0.01, 0.0), 12,
-                                   RngStream.from_seed(4), quantize=False)
+                                   RngStream.from_seed(4))
         residual = out.data - x.data
         assert residual.size >= 65536
         assert abs(residual.std() - 0.01) < 0.001
@@ -300,7 +295,7 @@ class TestSensorNoise:
     def test_shot_noise_variance(self):
         x = _const(256, 256, 0.4)
         out = corrupt_sensor_noise(x, NoiseModel(0.01, 0.02), 12,
-                                   RngStream.from_seed(5), quantize=False)
+                                   RngStream.from_seed(5))
         var = (out.data - x.data).var()
         model = 0.01 ** 2 + 0.02 * 0.4
         assert abs(var - model) < 0.1 * model

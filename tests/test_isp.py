@@ -7,7 +7,8 @@ from hypothesis import assume, given, strategies as st
 
 from rawbench import (CfaPattern, IspParams, Kernel2D, LinearRgbImage,
                       NilutWeights, apply_ccm, constrain_params,
-                      demosaic_bilinear, develop, encode_display,
+                      demosaic_bilinear, develop, develop_linear,
+                      encode_display,
                       gain_denoise_sharpen, make_gaussian_kernel,
                       nilut_forward, sog_white_balance)
 from rawbench.errors import ParameterError
@@ -414,10 +415,11 @@ class TestDevelop:
     def test_stage_outputs_consistent(self, bayer16):
         params = IspParams(g=1.3, r1=2.0, r2=1.5, theta=0.0, sigma=0.35,
                            rho=2.5, ccm=np.eye(3) + 0.05, lut=_random_nilut(3))
-        final, stages = develop(bayer16, params, kernel_size=7,
-                                return_stages=True)
-        assert np.array_equal(stages["demosaiced"].data,
-                              demosaic_bilinear(bayer16).data)
+        final, stages = develop_linear(demosaic_bilinear(bayer16), params,
+                                       kernel_size=7, return_stages=True)
+        assert list(stages) == ["denoised", "white_balanced", "color_corrected"]
+        assert np.array_equal(final.data,
+                              develop(bayer16, params, kernel_size=7).data)
         redo = nilut_forward(stages["color_corrected"], params.lut)
         assert np.array_equal(final.data, redo.data)
 
