@@ -125,9 +125,12 @@ def _run_entry(entry_args):
 def _run_entries(entries, rgb_for, depth, flare, out_dir: Path, n_jobs: int):
     """Run (image_id, spec) entries on n_jobs threads, each into its own
     file under out_dir, and list their hashes in out_dir/hashes.txt.
-    `rgb_for(image_id)` loads every input before out_dir is created."""
+    `rgb_for(image_id)` loads every input, and each entry's side layers are
+    checked against its image, before out_dir is created."""
     jobs = [(image_id, spec, rgb_for(image_id), depth, flare, out_dir)
             for image_id, spec in entries]
+    for _, spec, rgb, *_ in jobs:
+        cor.check_side_layers(spec, rgb, depth, flare)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = parallel_map(_run_entry, jobs, n_jobs)
     (out_dir / "hashes.txt").write_text("\n".join(lines) + "\n")
@@ -137,8 +140,8 @@ def cmd_corrupt(args) -> int:
     rgb = _load_input_rgb(args.input)
     depth = fmt.read_depth(args.depth) if args.depth else None
     flare = fmt.read_asset(args.flare) if args.flare else None
-    seed = _default_seed(args.seed)
     if args.sweep:
+        seed = _default_seed(args.seed)
         image_id = Path(args.input).stem  # the manifest's id: checked first
         fmt.check_image_id(image_id, f"{args.input}: input stem")
         out_dir = Path(args.out)
@@ -148,7 +151,7 @@ def cmd_corrupt(args) -> int:
         fmt.write_bench_manifest(seed, entries, out_dir / "manifest.json")
         return EXIT_OK
     spec = (fmt.read_corruption_spec(args.spec) if args.spec
-            else cor.CorruptionSpec(kind=args.kind, seed=seed))
+            else cor.CorruptionSpec(kind=args.kind, seed=_default_seed(args.seed)))
     result = cor.apply_corruption(spec, rgb, depth=depth, flare=flare)
     fmt.write_rgb(result, args.out)
     return EXIT_OK
@@ -202,8 +205,8 @@ def cmd_fit(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     fmt.write_isp_params(params, out_dir / "params.json")
     fmt.write_fit_trace(trace, out_dir / "trace.csv")
-    best = min(loss for _, _, loss in trace.entries)
-    print(f"best loss {best:.6g} after {len(trace.entries)} evaluations; "
+    best = min(loss for _, loss in trace)
+    print(f"best loss {best:.6g} after {len(trace)} evaluations; "
           f"develop with --kernel-size {config.kernel_size} to reproduce it")
     return EXIT_OK
 

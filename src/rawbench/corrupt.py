@@ -610,6 +610,16 @@ def apply_corruption(spec: CorruptionSpec, x: LinearRgbImage,
     return kind.run(x, p, rng, depth, flare)
 
 
+def check_side_layers(spec: CorruptionSpec, x: LinearRgbImage,
+                      depth: DepthMap | None, flare: np.ndarray | None) -> None:
+    """DimensionError unless each given layer that spec's kind uses fits x."""
+    kind = REGISTRY[spec.kind]
+    if kind.needs_depth and depth is not None:
+        _check_same_shape(x.data, depth.data, "depth map")
+    if kind.uses_flare and flare is not None:
+        _check_same_shape(x.data, np.asarray(flare), "flare layer")
+
+
 def corrupt_bayer(spec: CorruptionSpec, bayer: BayerImage) -> BayerImage:
     """Pre-demosaic wrapper for the kinds with a mosaic variant."""
     mosaic = REGISTRY[spec.kind].mosaic

@@ -1,12 +1,11 @@
 """Derivative-free fitting of pipeline parameters against a target image.
 
-The search space is the unconstrained parameter vector of
-`isp.constrain_params` (gain bias, radius biases, sharpen logit, rho
-pre-activation and 9 CCM biases): 14 dimensions, mapped through
-constrain_params before every evaluation so only valid parameter sets are
-ever developed. LUT weights stay at identity unless the config
-enables the 3-dim output-bias perturbation. The fitted params leave out
-config.kernel_size: develop them with it, not `isp.default_kernel_size`.
+The module owns the search space: a FIT_DIMS-slot unconstrained vector
+whose slots, bounds and map onto valid IspParams (`vector_to_params`) sit
+together below, so only valid parameter sets are ever developed. LUT
+weights stay at identity unless the config enables the 3-dim output-bias
+perturbation. The fitted params leave out config.kernel_size: develop them
+with it, not `isp.default_kernel_size`.
 
 One LossEvaluator, built once per fit, scores every search vector. It
 computes the same loss as develop_linear followed by image_loss, but
@@ -26,12 +25,15 @@ rounding alone (a few 1e-16 relative):
   so nilut_forward adds its last bias b_lut (checked on every evaluation).
 
 The evaluator owns the incumbent (the best vector so far, with its D1 and
-W) and the trace of every evaluation. The optimizers are step rules: they
-draw each candidate around evaluator.best_vector and count evaluations by
-the trace's length, so every candidate steps from the vector whose parts
-are cached. A candidate that changes only g, the CCM or the LUT bias
-reuses W; one that changes only rho reuses D1 and redoes the white
-balance. For the l2 loss W is kept only as its 3x3 moments (W'W, W'1,
+W) and the trace of (vector, loss) pairs. `score` computes a vector's loss
+from the incumbent's cached parts and changes nothing, so candidates may be
+scored in any order or on any thread; calling the evaluator scores, records
+and commits a better vector with its parts as the incumbent. The optimizers
+are step rules: they draw each candidate around evaluator.best_vector and
+count evaluations by the trace's length, so every candidate steps from the
+vector whose parts are cached. A candidate that changes only g, the CCM or
+the LUT bias reuses W; one that changes only rho reuses D1 and redoes the
+white balance. For the l2 loss W is kept only as its 3x3 moments (W'W, W'1,
 W'T), so a cached evaluation costs O(1) in the image size. Expanding the
 square costs absolute accuracy: the l2 loss carries an error of a few ulps
 of the target's mean square (about 2e-15 on unit range images), up to
@@ -39,28 +41,29 @@ about 1e-12 relative at the losses a fit meets.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError, is_finite_real, is_int
-from .isp import (PARAM_DIMS, IspParams, constrain_params,
-                  gain_denoise_sharpen, make_gaussian_kernel,
-                  sog_white_balance)
+from .isp import (IspParams, NilutWeights, gain_denoise_sharpen,
+                  make_gaussian_kernel, sog_white_balance)
 from .raw import BayerImage, LinearRgbImage, demosaic_bilinear
 from .rng import SEED_LIMIT, RngStream
 
-FIT_DIMS = PARAM_DIMS
+# The search vector: each slot's default bounds and the map vector_to_params
+# applies to it. The kernel angle theta is always 0.
+FIT_DIMS = 14
 LUT_DIMS = 3
-
 DEFAULT_BOUNDS = (
-    (-0.9, 7.0),    # gain bias
-    (-2.5, 4.0),    # major-axis bias
-    (-1.5, 4.0),    # minor-axis bias
-    (-6.0, 6.0),    # sigma logit
-    (0.0, 7.0),     # rho pre-activation
-) + ((-1.0, 1.0),) * 9  # ccm biases
+    (-0.9, 7.0),    # [0] gain bias: g = 1 + v[0]
+    (-2.5, 4.0),    # [1] major-axis bias: r1 = 3 + v[1], floored at 0.1
+    (-1.5, 4.0),    # [2] minor-axis bias: r2 = 2 + v[2], floored at 0.1
+    (-6.0, 6.0),    # [3] sigma logit: sigma = logistic(v[3])
+    (0.0, 7.0),     # [4] rho pre-activation: rho = 1 + max(0, v[4])
+) + ((-1.0, 1.0),) * 9  # [5:14] ccm biases: ccm = I3 + reshape(v[5:14], (3, 3))
+# [14:17], with fit_lut only: the LUT's output bias
 DEFAULT_LUT_BOUNDS = ((-0.5, 0.5),) * LUT_DIMS
 
 
@@ -119,18 +122,6 @@ class FitConfig:
         return arr
 
 
-@dataclass
-class FitTrace:
-    """Every evaluation in order: (index, search vector, loss)."""
-
-    entries: list = field(default_factory=list)
-
-    def record(self, vector: np.ndarray, loss: float) -> int:
-        idx = len(self.entries)
-        self.entries.append((idx, vector.copy(), loss))
-        return idx
-
-
 def image_loss(a: LinearRgbImage, b: LinearRgbImage, kind: str = "l1") -> float:
     if a.data.shape != b.data.shape:
         raise DimensionError("images differ in shape")
@@ -142,15 +133,24 @@ def image_loss(a: LinearRgbImage, b: LinearRgbImage, kind: str = "l1") -> float:
     raise ParameterError("loss must be 'l1' or 'l2'")
 
 
-def vector_to_params(vector: np.ndarray, fit_lut: bool = False) -> IspParams:
-    """Constrain a search vector into valid parameters; with fit_lut, its
-    last LUT_DIMS entries are the LUT's output bias."""
-    vector = np.asarray(vector, dtype=np.float64)
-    params = constrain_params(vector[:FIT_DIMS])
+def vector_to_params(vector, fit_lut: bool = False) -> IspParams:
+    """Map a search vector onto valid parameters, slot by slot as the
+    DEFAULT_BOUNDS table says. It must have FIT_DIMS slots, or FIT_DIMS +
+    LUT_DIMS with fit_lut."""
+    v = np.asarray(vector, dtype=np.float64)
+    dims = FIT_DIMS + (LUT_DIMS if fit_lut else 0)
+    if v.shape != (dims,):
+        raise ParameterError(f"parameter vector must have length {dims}")
+    # exp overflows below a logit of about -709; sigma is at its floor there
+    sigma = 1.0 / (1.0 + math.exp(min(-float(v[3]), 700.0)))
+    sigma = min(max(sigma, 1e-12), 1.0 - 1e-12)
+    lut = NilutWeights.identity()
     if fit_lut:
-        lut = params.lut.with_output_bias(vector[FIT_DIMS:FIT_DIMS + LUT_DIMS])
-        params = replace(params, lut=lut)
-    return params
+        lut = lut.with_output_bias(v[FIT_DIMS:])
+    return IspParams(g=1.0 + float(v[0]), r1=max(3.0 + float(v[1]), 0.1),
+                     r2=max(2.0 + float(v[2]), 0.1), theta=0.0, sigma=sigma,
+                     rho=1.0 + max(0.0, float(v[4])),
+                     ccm=np.eye(3) + v[5:14].reshape(3, 3), lut=lut)
 
 
 class _Incumbent(NamedTuple):
@@ -164,8 +164,9 @@ class LossEvaluator:
     """image_loss(develop_linear(base, vector_to_params(v)), target) for
     search vectors v, reusing the spatial part of the best vector so far
     (see the module docstring). `best` and `best_vector` track the lowest
-    loss seen; a later tie does not replace it. `trace` records every
-    evaluation in order, so its length is the number made."""
+    loss seen; a later tie does not replace it. `trace` lists every
+    evaluation as a (vector, loss) pair, in order, so its length is the
+    number made."""
 
     def __init__(self, base: LinearRgbImage, target: LinearRgbImage,
                  config: FitConfig):
@@ -174,7 +175,7 @@ class LossEvaluator:
         self._config = config
         self.best = np.inf
         self.best_vector = None
-        self.trace = FitTrace()
+        self.trace = []
         self._base = base
         self._target = target.data.reshape(-1, 3)
         if config.loss == "l2":
@@ -182,8 +183,10 @@ class LossEvaluator:
             self._target_sq = float(np.sum(self._target * self._target))
         self._incumbent = None  # the best vector's cached parts
 
-    def __call__(self, vector) -> float:
-        vector = np.asarray(vector, dtype=np.float64)
+    def score(self, vector) -> tuple:
+        """(loss, parts) of a search vector, where parts are the cached
+        D1 and W it would leave as the incumbent. Reads the incumbent's
+        parts and changes nothing."""
         params = vector_to_params(vector, self._config.fit_lut)
         w_last, b_last = params.lut.layers[-1]
         assert not np.any(w_last), "a fit LUT must have a zero last layer"
@@ -204,11 +207,16 @@ class LossEvaluator:
         loss = self._loss(basis, params.g * params.ccm, b_last)
         if not math.isfinite(loss):
             raise ParameterError("rgb image contains non-finite values")
-        self.trace.record(vector, loss)
+        return loss, _Incumbent(spatial_key, d1, color_key, basis)
+
+    def __call__(self, vector) -> float:
+        """Score the vector, append it to the trace and, if its loss is
+        below the best, commit it and its parts as the incumbent."""
+        vector = np.array(vector, dtype=np.float64)
+        loss, parts = self.score(vector)
+        self.trace.append((vector, loss))
         if loss < self.best:
-            self.best = loss
-            self.best_vector = vector.copy()
-            self._incumbent = _Incumbent(spatial_key, d1, color_key, basis)
+            self.best, self.best_vector, self._incumbent = loss, vector, parts
         return loss
 
     def _color_basis(self, balanced: np.ndarray):
@@ -243,14 +251,14 @@ def _coordinate_search(evaluator, bounds, budget, init_step):
     """Cyclic coordinate descent from evaluator.best_vector with per-axis
     adaptive steps (x2 on success, x0.5 on failure). Deterministic; no
     randomness consumed."""
-    entries = evaluator.trace.entries
+    trace = evaluator.trace
     spans = bounds[:, 1] - bounds[:, 0]
     steps = init_step * spans
-    while len(entries) < budget and np.any(steps > 1e-12 * spans):
+    while len(trace) < budget and np.any(steps > 1e-12 * spans):
         for d in range(len(spans)):
             x, best = evaluator.best_vector, evaluator.best
             for direction in (+1.0, -1.0):
-                if len(entries) >= budget:
+                if len(trace) >= budget:
                     break
                 cand = x.copy()
                 cand[d] = np.clip(cand[d] + direction * steps[d],
@@ -268,12 +276,12 @@ def _evolution_strategy(evaluator, bounds, budget, init_step, population, rng):
     """Elitist (1+lambda) strategy around evaluator.best_vector with a global
     multiplicative step size: x1.5 when a generation lowers the best loss,
     x0.7 otherwise."""
-    entries = evaluator.trace.entries
+    trace = evaluator.trace
     spans = bounds[:, 1] - bounds[:, 0]
     scale = init_step
-    while len(entries) < budget and scale > 1e-14:
+    while len(trace) < budget and scale > 1e-14:
         x, best = evaluator.best_vector, evaluator.best
-        lam = min(population, budget - len(entries))
+        lam = min(population, budget - len(trace))
         z = rng.normals(lam * len(x)).reshape(lam, len(x))
         for cand in np.clip(x + scale * spans * z, bounds[:, 0], bounds[:, 1]):
             evaluator(cand)
@@ -284,7 +292,8 @@ def fit_isp_params(bayer: BayerImage, target: LinearRgbImage,
                    config: FitConfig):
     """Minimize image_loss(develop(bayer, params), target) over the
     constrained parameter box, starting from the origin clipped into it.
-    Returns (best IspParams, FitTrace)."""
+    Returns the best IspParams and the trace, a list of (vector, loss)
+    pairs in evaluation order."""
     evaluator = LossEvaluator(demosaic_bilinear(bayer), target, config)
     bounds = config.resolved_bounds()
     evaluator(np.clip(np.zeros(len(bounds)), bounds[:, 0], bounds[:, 1]))

@@ -60,7 +60,7 @@ from .raw import (BayerImage, CfaPattern, GrayImage, LinearRgbImage,
 from .isp import (IspParams, NILUT_LAYER_DIMS, NilutWeights, encode_display)
 from .corrupt import KINDS, REGISTRY, CorruptionSpec, DepthMap
 from .augment import AugmentConfig, TruncatedNormal
-from .fit import FitConfig, FitTrace
+from .fit import FitConfig
 from .metrics import EvalRecord, RobustnessReport, normalize_score
 from .rng import SEED_LIMIT
 
@@ -533,10 +533,12 @@ def report_to_json(report: RobustnessReport) -> dict:
     }
 
 
-def write_fit_trace(trace: FitTrace, path) -> None:
+def write_fit_trace(trace, path) -> None:
+    """trace.csv from a fit's (vector, loss) pairs: eval_index is the
+    pair's position in the list."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        dims = len(trace.entries[0][1]) if trace.entries else 0
+        dims = len(trace[0][0]) if trace else 0
         writer.writerow(["eval_index", "loss"] + [f"p{i:02d}" for i in range(dims)])
-        for idx, vec, loss in trace.entries:
+        for idx, (vec, loss) in enumerate(trace):
             writer.writerow([idx, repr(loss)] + [repr(float(v)) for v in vec])

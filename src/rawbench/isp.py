@@ -1,7 +1,7 @@
 """Parametric ISP stages: gain + anisotropic Gaussian denoise with a sharpen
 blend, Shades-of-Gray white balance with an adaptive Minkowski exponent,
-color correction matrix and a residual implicit-MLP color LUT, plus the
-map from an unconstrained parameter vector onto valid stage parameters.
+color correction matrix and a residual implicit-MLP color LUT. The fit's
+search vector and its map onto IspParams live in `fit`.
 
 Stage naming follows the processing order: the mosaic develops through
 demosaic -> gain/denoise/sharpen -> white balance -> CCM -> LUT.
@@ -199,7 +199,8 @@ class IspParams:
 
     @classmethod
     def identity(cls) -> "IspParams":
-        return constrain_params(np.zeros(PARAM_DIMS))
+        return cls(g=1.0, r1=3.0, r2=2.0, theta=0.0, sigma=0.5, rho=1.0,
+                   ccm=np.eye(3))
 
 
 def gain_denoise_sharpen(img: LinearRgbImage, g: float, kernel: Kernel2D,
@@ -301,36 +302,6 @@ def nilut_forward(img: LinearRgbImage, weights: NilutWeights) -> LinearRgbImage:
             np.add(block, correction.reshape(-1, 3),
                    out=out[start:start + NILUT_BLOCK_ROWS])
     return LinearRgbImage(out.reshape(img.height, img.width, 3))
-
-
-# Unconstrained parameter vector, the search space of `fit`:
-#   [0] gain bias          g = 1 + v[0]
-#   [1] major-axis bias    r1 = 3 + v[1], floored at 0.1
-#   [2] minor-axis bias    r2 = 2 + v[2], floored at 0.1
-#   [3] sigma logit        sigma = logistic(v[3])
-#   [4] rho pre-activation rho = 1 + max(0, v[4])
-#   [5:14] ccm biases      ccm = I3 + reshape(v[5:14], (3, 3))
-# The kernel angle theta is always 0.
-PARAM_DIMS = 14
-
-
-def constrain_params(vector: np.ndarray) -> IspParams:
-    """Map an unconstrained parameter vector onto valid ISP parameters."""
-    v = np.asarray(vector, dtype=np.float64)
-    if v.shape != (PARAM_DIMS,):
-        raise ParameterError(f"parameter vector must have length {PARAM_DIMS}")
-    # exp overflows below a logit of about -709; sigma is at its floor there
-    sigma = 1.0 / (1.0 + math.exp(min(-float(v[3]), 700.0)))
-    sigma = min(max(sigma, 1e-12), 1.0 - 1e-12)
-    return IspParams(
-        g=1.0 + float(v[0]),
-        r1=max(3.0 + float(v[1]), 0.1),
-        r2=max(2.0 + float(v[2]), 0.1),
-        theta=0.0,
-        sigma=sigma,
-        rho=1.0 + max(0.0, float(v[4])),
-        ccm=np.eye(3) + v[5:14].reshape(3, 3),
-    )
 
 
 def _kernel(params: IspParams, kernel_size: int | None) -> Kernel2D:

@@ -127,6 +127,7 @@ class TestCorruptSpec:
                                         [0, 0, 1]]}, "E_SCHEMA_VALUE"),
         ("low_light", [0.1], "E_SCHEMA_VALUE"),
         ("sensor_noise", {"delta_r": 10**400}, "E_SCHEMA_VALUE"),
+        ("low_light", {"bogus": 0.1}, "E_SCHEMA_FIELD"),
     ])
     def test_bad_override_is_rejected(self, tmp_path, raw_path, capsys,
                                       kind, params, code):
@@ -183,6 +184,16 @@ class TestCorruptSpec:
         assert cli.main(["corrupt", "--input", str(raw_path), "--kind",
                          "low_light", "--out", str(out)]) == cli.EXIT_INVALID
         assert not out.exists()
+
+    def test_spec_ignores_the_seed_environment_variable(self, tmp_path, raw_path,
+                                                        monkeypatch):
+        # the spec file holds the seed, so RAWBENCH_SEED is never read
+        argv = ["corrupt", "--input", str(raw_path), "--spec", str(_spec(tmp_path))]
+        plain, with_env = tmp_path / "plain.ppm", tmp_path / "env.ppm"
+        assert cli.main(argv + ["--out", str(plain)]) == cli.EXIT_OK
+        monkeypatch.setenv("RAWBENCH_SEED", "abc")
+        assert cli.main(argv + ["--out", str(with_env)]) == cli.EXIT_OK
+        assert with_env.read_bytes() == plain.read_bytes()
 
     @pytest.mark.parametrize("kind, params", [
         ("sensor_matrix_a", {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1.5]]}),
@@ -257,12 +268,30 @@ class TestBenchManifest:
         assert code in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_duplicate_entry_is_rejected(self, tmp_path, raw_path, capsys):
+        # two entries with one (image_id, kind, seed) would write one file
+        entry = {"image_id": "scene", "kind": "fog", "seed": 3}
+        manifest = _write_json(tmp_path / "manifest.json", {
+            "schema_version": 1, "master_seed": 5, "entries": [entry, entry]})
+        assert self._run(tmp_path, raw_path, manifest) == cli.EXIT_FORMAT
+        assert "E_SCHEMA_VALUE" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage(self, tmp_path, raw_path, capsys, jobs):
         assert _usage_exit(["bench", "--manifest", str(self._manifest(tmp_path)),
                             "--raw", str(raw_path), "--jobs", jobs,
                             "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
         assert "argument --jobs: must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--depth", "--flare"])
+    def test_layer_no_entry_uses_is_ignored(self, tmp_path, raw_path, option):
+        # low_light uses neither layer, so an 8^2 one runs on a 16^2 image
+        layer = tmp_path / "layer.pgm"
+        formats.write_gray8(GrayImage(np.full((8, 8), 0.5)), layer)
+        assert cli.main(["bench", "--manifest", str(self._manifest(tmp_path)),
+                         "--raw", str(raw_path), option, str(layer),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_OK
 
     def test_written_manifest_runs(self, tmp_path, raw_path):
         assert self._run(tmp_path, raw_path,
@@ -408,6 +437,20 @@ def test_sweep_of_an_input_stem_that_is_no_image_id_is_rejected(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option", ["--depth", "--flare"])
+def test_sweep_with_a_layer_of_another_size_writes_nothing(tmp_path, raw_path,
+                                                           capsys, option):
+    # the fog or flare entries use the layer: its size is checked against
+    # the image before --out is created, not when those entries run
+    layer = tmp_path / "layer.pgm"
+    formats.write_gray8(GrayImage(np.full((8, 8), 0.5)), layer)
+    out = tmp_path / "sw"
+    assert cli.main(["corrupt", "--input", str(raw_path), "--sweep", option,
+                     str(layer), "--out", str(out)]) == cli.EXIT_INVALID
+    assert "dimensions do not match the image" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_corrupt_without_spec_or_kind_is_usage(tmp_path, raw_path, capsys):
     assert _usage_exit(["corrupt", "--input", str(raw_path),
                         "--out", str(tmp_path / "out.ppm")]) == cli.EXIT_USAGE
@@ -507,7 +550,8 @@ def test_csv_records_report_as_their_json(tmp_path):
     assert reports[0] == reports[1]
 
 
-# Every code each subcommand can return, from one command line each. Paths:
+# Every code each subcommand can return, from one command line each; only a
+# success creates --out. Paths:
 # {raw} a 16^2 RAW, {small_*} 8^2 files that do not match it, {missing} no
 # file; {manifest} holds one fog entry and {records} a valid report.
 EXIT_MATRIX = [
@@ -574,8 +618,7 @@ def test_exit_code_matrix(tmp_path, raw_path, command, code, args):
     except SystemExit as exc:  # argparse's refusal
         got = exc.code
     assert got == code
-    if code == cli.EXIT_OK:
-        assert out.exists()
+    assert out.exists() == (code == cli.EXIT_OK)
 
 
 def test_cli_import_does_not_load_scipy_fft():

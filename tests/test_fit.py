@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rawbench import cli, fit, formats, isp
+from rawbench import cli, fit, formats, isp, pool
 from rawbench.errors import DimensionError, ParameterError
 from rawbench.fit import (FIT_DIMS, LUT_DIMS, FitConfig, LossEvaluator,
                           image_loss, vector_to_params)
@@ -28,14 +28,14 @@ class UncachedEvaluator:
     def __init__(self, base, target, config):
         self.base, self.target, self.config = base, target, config
         self.best, self.best_vector = np.inf, None
-        self.trace = fit.FitTrace()
+        self.trace = []
 
     def __call__(self, vector):
+        vector = np.array(vector, dtype=np.float64)
         loss = reference_loss(self.base, self.target, vector, self.config)
-        self.trace.record(vector, loss)
+        self.trace.append((vector, loss))
         if loss < self.best:
-            self.best = loss
-            self.best_vector = np.asarray(vector, dtype=np.float64).copy()
+            self.best, self.best_vector = loss, vector
         return loss
 
 
@@ -75,13 +75,13 @@ def candidate_sequence(dims):
     return out
 
 
-def expected_reuse(incumbent, cand):
+def expected_reuse(incumbent, cand, fit_lut):
     """Which cached part of the incumbent a candidate can reuse: "w" when
     only g, the CCM or the LUT bias differ, "d1" when rho differs too, and
     "none" when r1, r2 or sigma differ (or there is no incumbent yet)."""
     if incumbent is None:
         return "none"
-    a, b = vector_to_params(incumbent), vector_to_params(cand)
+    a, b = vector_to_params(incumbent, fit_lut), vector_to_params(cand, fit_lut)
     if (a.r1, a.r2, a.sigma) != (b.r1, b.r2, b.sigma):
         return "none"
     return "w" if a.rho == b.rho else "d1"
@@ -100,7 +100,7 @@ class TestLossEvaluator:
         evaluator = LossEvaluator(base, target, config)
         seen = set()
         for vector in candidate_sequence(dims):
-            reuse = expected_reuse(evaluator.best_vector, vector)
+            reuse = expected_reuse(evaluator.best_vector, vector, fit_lut)
             seen.add(reuse)
             before = (len(blurs), len(balances))
             got = evaluator(vector)
@@ -130,6 +130,45 @@ class TestLossEvaluator:
         np.testing.assert_array_equal(evaluator.best_vector,
                                       candidate_sequence(FIT_DIMS)[first])
 
+    @pytest.mark.parametrize("loss", ["l1", "l2"])
+    def test_score_changes_nothing_and_call_records_its_loss(self, scene, loss):
+        base, target = scene
+        evaluator = LossEvaluator(base, target, FitConfig(loss=loss, kernel_size=5))
+        candidates = candidate_sequence(FIT_DIMS)
+        for vector in candidates[:6]:
+            evaluator(vector)
+        held = evaluator._incumbent
+
+        def state():
+            basis = held.basis if loss == "l2" else (held.basis,)
+            return [evaluator.best, evaluator.best_vector, held.denoised.data,
+                    *basis, *(x for pair in evaluator.trace for x in pair)]
+
+        before = [np.copy(x) for x in state()]
+        scores = [evaluator.score(v)[0] for v in candidates[6:]]
+        assert evaluator._incumbent is held
+        after = state()
+        assert len(after) == len(before)
+        for got, want in zip(after, before):
+            np.testing.assert_array_equal(got, want)
+        assert evaluator(candidates[6]) == scores[0]
+        np.testing.assert_array_equal(evaluator.trace[-1][0], candidates[6])
+        assert evaluator.trace[-1][1] == scores[0]
+
+    @pytest.mark.parametrize("loss", ["l1", "l2"])
+    def test_pool_scores_equal_a_sequential_loop(self, scene, monkeypatch, loss):
+        # the candidates of one evolution generation, scored from one
+        # incumbent on two threads, give the bits of one thread
+        base, target = scene
+        evaluator = LossEvaluator(base, target, FitConfig(loss=loss, kernel_size=5))
+        candidates = candidate_sequence(FIT_DIMS)
+        for vector in candidates[:4]:
+            evaluator(vector)
+        monkeypatch.setattr(pool, "WORKERS", 2)
+        pooled = pool.parallel_map(evaluator.score, candidates)
+        looped = [evaluator.score(v) for v in candidates]
+        assert [value for value, _ in pooled] == [value for value, _ in looped]
+
     def test_overflowing_gain_raises_parameter_error(self, scene):
         base, target = scene
         vector = np.zeros(FIT_DIMS)
@@ -155,6 +194,44 @@ class TestLossEvaluator:
             LossEvaluator(base, random_rgb(8, 8), FitConfig())
 
 
+class TestVectorToParams:
+    def test_zero_vector_normal(self):
+        p = vector_to_params(np.zeros(FIT_DIMS))
+        assert (p.g, p.r1, p.r2, p.sigma, p.rho) == (1.0, 3.0, 2.0, 0.5, 1.0)
+        assert p.theta == 0.0
+        assert np.array_equal(p.ccm, np.eye(3))
+
+    def test_rho_relu_floor(self):
+        vector = np.zeros(FIT_DIMS)
+        vector[4] = -7.0
+        assert vector_to_params(vector).rho == 1.0
+
+    def test_radius_floor(self):
+        vector = np.zeros(FIT_DIMS)
+        vector[1], vector[2] = -10.0, -10.0
+        p = vector_to_params(vector)
+        assert p.r1 == 0.1 and p.r2 == 0.1
+
+    def test_sigma_strictly_inside(self):
+        vector = np.zeros(FIT_DIMS)
+        vector[3] = 80.0
+        assert 0.0 < vector_to_params(vector).sigma < 1.0
+
+    @pytest.mark.parametrize("logit, sigma", [
+        (-1000.0, 1e-12), (-710.0, 1e-12), (1000.0, 1.0 - 1e-12)])
+    def test_far_sigma_logit_hits_the_clamp(self, logit, sigma):
+        # exp(-logit) overflows a float below a logit of about -709
+        vector = np.zeros(FIT_DIMS)
+        vector[3] = logit
+        assert vector_to_params(vector).sigma == sigma
+
+    def test_wrong_length(self):
+        for n, fit_lut in ((FIT_DIMS - 1, False), (FIT_DIMS + 1, False),
+                           (FIT_DIMS + LUT_DIMS - 1, True)):
+            with pytest.raises(ParameterError, match="length"):
+                vector_to_params(np.zeros(n), fit_lut)
+
+
 class TestFitAgainstUncachedLoop:
     @pytest.mark.parametrize("conf", [
         {"optimizer": "coordinate"},
@@ -175,9 +252,8 @@ class TestFitAgainstUncachedLoop:
         formats.write_isp_params(ref_params, tmp_path / "uncached.json")
         assert ((tmp_path / "cached.json").read_bytes()
                 == (tmp_path / "uncached.json").read_bytes())
-        assert len(trace.entries) == len(ref_trace.entries) == 60
-        for (_, v, loss), (_, ref_v, ref_loss) in zip(trace.entries,
-                                                      ref_trace.entries):
+        assert len(trace) == len(ref_trace) == 60
+        for (v, loss), (ref_v, ref_loss) in zip(trace, ref_trace):
             np.testing.assert_array_equal(v, ref_v)
             assert math.isclose(loss, ref_loss, rel_tol=1e-12)
 
@@ -191,7 +267,7 @@ class TestSpatialCacheGuard:
         target = random_rgb(16, 16, seed=6)
         config = FitConfig(optimizer=optimizer, budget=52, seed=3)
         _, trace = fit.fit_isp_params(bayer, target, config)
-        return len(blurs), len(trace.entries)
+        return len(blurs), len(trace)
 
     def test_coordinate_fit_blurs_at_most_every_other_evaluation(self, monkeypatch):
         blurs, evaluations = self._fit(monkeypatch, "coordinate")
@@ -215,9 +291,9 @@ class TestEvaluatorOwnsTheSearch:
         target = random_rgb(16, 16, seed=6)
         config = FitConfig(optimizer=optimizer, budget=budget, seed=3)
         params, trace = fit.fit_isp_params(bayer, target, config)
-        assert len(trace.entries) == budget
-        losses = [loss for _, _, loss in trace.entries]
-        first = trace.entries[losses.index(min(losses))][1]
+        assert len(trace) == budget
+        losses = [loss for _, loss in trace]
+        first = trace[losses.index(min(losses))][0]
         formats.write_isp_params(params, tmp_path / "returned.json")
         formats.write_isp_params(vector_to_params(first), tmp_path / "first.json")
         assert ((tmp_path / "returned.json").read_bytes()
@@ -237,7 +313,7 @@ def test_fit_recovers_known_parameters():
     start = image_loss(isp.develop(bayer, vector_to_params(np.zeros(FIT_DIMS)),
                                    kernel_size=config.kernel_size), target)
     params, trace = fit.fit_isp_params(bayer, target, config)
-    best = min(loss for _, _, loss in trace.entries)
+    best = min(loss for _, loss in trace)
     assert start > 0.1
     assert best <= 0.005
     refit = image_loss(isp.develop(bayer, params, kernel_size=config.kernel_size),

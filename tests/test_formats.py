@@ -282,7 +282,7 @@ def _random_lut(seed):
 def _random_params(seed, lut=None):
     # 15 draws with the fourth dropped: the parameters of the pinned bytes
     draws = 0.5 * RngStream.from_seed(seed).normals(15)
-    params = isp.constrain_params(np.delete(draws, 3))
+    params = vector_to_params(np.delete(draws, 3))
     return params if lut is None else dataclasses.replace(params, lut=lut)
 
 
@@ -490,7 +490,9 @@ def test_integer_where_a_float_is_expected(tmp_path):
 
 @pytest.mark.parametrize("fields", [
     {"g": "1"}, {"ccm": "abc"}, {"ccm": [["1", 0, 0], [0, 1, 0], [0, 0, 1]]},
-    {"theta": None}, {"r1": True},
+    {"theta": None}, {"r1": True}, {"ccm": [[1, 0, 0], [0, 1], [0, 0, 1]]},
+    {"lut": {"activation": "tanh", "residual": True,
+             "layers": [{"weights": [], "bias": []}] * 3}},
 ])
 def test_ill_typed_params_exit_format(tmp_path, capsys, fields):
     argv, targets = _build(tmp_path, "read_isp_params")
@@ -569,6 +571,22 @@ def test_non_utf8_csv_records_exit_format(tmp_path, capsys):
     assert cli.main(["report", "--records", str(records), "--reference", "a",
                      "--out", str(tmp_path / "out")]) == cli.EXIT_FORMAT
     assert "E_CSV_VALUE" in capsys.readouterr().err
+
+
+def test_csv_row_of_two_fields_exits_format(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    records.write_text("method,condition,score\na,normal,0.5\na,0.5\n")
+    assert cli.main(["report", "--records", str(records), "--reference", "a",
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_FORMAT
+    assert "E_CSV_VALUE: " in capsys.readouterr().err
+
+
+def test_missing_sidecar_file_exits_format(tmp_path, capsys):
+    argv, targets = _build(tmp_path, "read_raw")
+    targets[""].unlink()
+    assert cli.main(argv + ["--out", str(tmp_path / "out.ppm")]) == cli.EXIT_FORMAT
+    assert "E_SIDECAR_FIELD: " in capsys.readouterr().err
+    assert not (tmp_path / "out.ppm").exists()
 
 
 @pytest.mark.parametrize("header", [b"P6\n0 0\n65535\n", b"P6\n-2 -3\n65535\n",

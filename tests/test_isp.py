@@ -6,14 +6,12 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from rawbench import (CfaPattern, IspParams, Kernel2D, LinearRgbImage,
-                      NilutWeights, apply_ccm, constrain_params,
-                      demosaic_bilinear, develop, develop_linear,
-                      encode_display,
-                      gain_denoise_sharpen, make_gaussian_kernel,
-                      nilut_forward, sog_white_balance)
+                      NilutWeights, apply_ccm, demosaic_bilinear, develop,
+                      develop_linear, encode_display, gain_denoise_sharpen,
+                      make_gaussian_kernel, nilut_forward, sog_white_balance)
 from rawbench.errors import ParameterError
 from rawbench import isp
-from rawbench.isp import PARAM_DIMS, default_kernel_size
+from rawbench.isp import default_kernel_size
 from rawbench.rng import RngStream
 
 from conftest import constant_bayer, random_bayer, random_rgb
@@ -351,43 +349,6 @@ class TestNonFiniteParameters:
     def test_isp_params_need_numbers(self, name, bad):
         with pytest.raises(ParameterError, match="finite numbers"):
             IspParams(**{**_VALID_PARAMS, name: bad}, ccm=np.eye(3))
-
-
-class TestConstrainParams:
-    def test_zero_vector_normal(self):
-        p = constrain_params(np.zeros(PARAM_DIMS))
-        assert (p.g, p.r1, p.r2, p.sigma, p.rho) == (1.0, 3.0, 2.0, 0.5, 1.0)
-        assert p.theta == 0.0
-        assert np.array_equal(p.ccm, np.eye(3))
-
-    def test_rho_relu_floor(self):
-        vector = np.zeros(PARAM_DIMS)
-        vector[4] = -7.0
-        assert constrain_params(vector).rho == 1.0
-
-    def test_radius_floor(self):
-        vector = np.zeros(PARAM_DIMS)
-        vector[1], vector[2] = -10.0, -10.0
-        p = constrain_params(vector)
-        assert p.r1 == 0.1 and p.r2 == 0.1
-
-    def test_sigma_strictly_inside(self):
-        vector = np.zeros(PARAM_DIMS)
-        vector[3] = 80.0
-        assert 0.0 < constrain_params(vector).sigma < 1.0
-
-    @pytest.mark.parametrize("logit, sigma", [
-        (-1000.0, 1e-12), (-710.0, 1e-12), (1000.0, 1.0 - 1e-12)])
-    def test_far_sigma_logit_hits_the_clamp(self, logit, sigma):
-        # exp(-logit) overflows a float below a logit of about -709
-        vector = np.zeros(PARAM_DIMS)
-        vector[3] = logit
-        assert constrain_params(vector).sigma == sigma
-
-    def test_wrong_length(self):
-        for n in (PARAM_DIMS - 1, PARAM_DIMS + 1):
-            with pytest.raises(ParameterError):
-                constrain_params(np.zeros(n))
 
 
 class TestDevelop:
