@@ -38,6 +38,12 @@ W'T), so a cached evaluation costs O(1) in the image size. Expanding the
 square costs absolute accuracy: the l2 loss carries an error of a few ulps
 of the target's mean square (about 2e-15 on unit range images), up to
 about 1e-12 relative at the losses a fit meets.
+
+The l1 loss's W @ (g * CCM) runs through `isp.matmul_rows`, in GEMMs small
+enough for OpenBLAS to keep on the calling thread, with the bits of one
+product. The l2 moments stay single products over every pixel: their inner
+dimension is the pixel count, so above 29,127 pixels OpenBLAS threads
+them, but splitting that sum into blocks would change its rounding.
 """
 
 import math
@@ -48,7 +54,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, is_finite_real, is_int
 from .isp import (IspParams, NilutWeights, gain_denoise_sharpen,
-                  make_gaussian_kernel, sog_white_balance)
+                  make_gaussian_kernel, matmul_rows, sog_white_balance)
 from .raw import BayerImage, LinearRgbImage, demosaic_bilinear
 from .rng import SEED_LIMIT, RngStream
 
@@ -229,7 +235,7 @@ class LossEvaluator:
 
     def _loss(self, basis, matrix: np.ndarray, bias: np.ndarray) -> float:
         if self._config.loss == "l1":
-            out = basis @ matrix
+            out = matmul_rows(basis, matrix)
             out += bias
             out -= self._target
             np.abs(out, out=out)

@@ -26,10 +26,19 @@ package's thread pool, bit for bit demosaic_bilinear then `develop_linear`:
   COLOUR_BLOCKS whole NILUT blocks, so every block holds the pixels it
   holds on the full frame. Block boundaries change bits: with 255-pixel
   blocks, 39 to 65 of 8192 pixels came out different (five random LUTs).
-- OpenBLAS. Inside a block the 32-wide layers run as a stack of
-  NILUT_GEMM_ROWS = 256-row GEMMs: 256 x 32 x 32 = 262,144 multiply-adds
-  is OpenBLAS's cut-off for one thread, so the workers never compete with
-  OpenBLAS's own threads. The stack gives the bits of one 4096-row GEMM.
+- OpenBLAS. A GEMM of at most ONE_THREAD_MACS = 262,144 multiply-adds
+  (M x N x K) runs on the calling thread; a larger one wakes OpenBLAS's
+  own threads, which then compete with the package's workers (and, in a
+  process that has imported scipy, with a second OpenBLAS). Two row blocks
+  derive from it. Inside a NILUT block the 32-wide layers run as a stack
+  of NILUT_GEMM_ROWS = 256-row GEMMs (256 x 32 x 32), which gives the bits
+  of one 4096-row GEMM. `matmul_rows` runs an N x 3 @ 3 x 3 product, as
+  `apply_ccm` and the fit's l1 loss do, in GEMMs of CCM_BLOCK_ROWS =
+  29,127 rows (x 9), with the bits of one product. Left above the
+  cut-off are the fit's l2 moments (W'W and W'T, summed over every
+  pixel), whose sums a split would reorder, and a frame's last NILUT
+  block when its length is above NILUT_GEMM_ROWS but not a multiple of
+  it, which runs unstacked.
   A full LUT on 1024^2 pixels (2-vCPU VM, OpenBLAS 0.3.31, median of 7):
   682 ms from one thread, with OpenBLAS threading each 4096-row GEMM;
   930 ms from two threads with the same GEMMs; 403 ms from two threads
@@ -54,9 +63,13 @@ NILUT_LAYER_DIMS = (3, 32, 32, 32, 3)
 # Pixels per NILUT block: keeps the 32-wide activations cache-resident
 # instead of materializing several (H*W, 32) arrays.
 NILUT_BLOCK_ROWS = 4096
-# Rows per GEMM inside a block: 256 x 32 x 32 = 262,144 multiply-adds, at
-# OpenBLAS's cut-off for running a GEMM on one thread (module docstring).
-NILUT_GEMM_ROWS = 256
+# OpenBLAS runs a GEMM of at most this many multiply-adds on the calling
+# thread (module docstring).
+ONE_THREAD_MACS = 262_144
+# Rows per GEMM inside a NILUT block: 256 x 32 x 32 multiply-adds.
+NILUT_GEMM_ROWS = ONE_THREAD_MACS // (32 * 32)
+# Rows per GEMM of an N x 3 @ 3 x 3 product (`matmul_rows`).
+CCM_BLOCK_ROWS = ONE_THREAD_MACS // 9
 # Rows per band of develop's spatial pass; even, so that every band starts
 # on the frame's CFA row pair.
 BAND_ROWS = 64
@@ -268,9 +281,20 @@ def apply_ccm(img: LinearRgbImage, ccm: np.ndarray) -> LinearRgbImage:
     ccm = np.asarray(ccm, dtype=np.float64)
     if ccm.shape != (3, 3) or not np.all(np.isfinite(ccm)):
         raise ParameterError("ccm must be a finite 3x3 matrix")
-    h, w = img.height, img.width
-    out = img.data.reshape(-1, 3) @ ccm
-    return LinearRgbImage(out.reshape(h, w, 3))
+    out = matmul_rows(img.data.reshape(-1, 3), ccm)
+    return LinearRgbImage(out.reshape(img.data.shape))
+
+
+def matmul_rows(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """rows @ matrix for an (N, 3) array and a 3x3 matrix, as GEMMs of
+    CCM_BLOCK_ROWS rows, each on the calling thread (module docstring).
+    Each output row is its own input row's three dot products, so the
+    blocks give the bits of one product."""
+    out = np.empty(rows.shape)
+    for start in range(0, len(rows), CCM_BLOCK_ROWS):
+        block = slice(start, start + CCM_BLOCK_ROWS)
+        np.matmul(rows[block], matrix, out=out[block])
+    return out
 
 
 def nilut_forward(img: LinearRgbImage, weights: NilutWeights) -> LinearRgbImage:

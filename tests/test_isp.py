@@ -201,6 +201,21 @@ class TestApplyCcm:
         twice = apply_ccm(apply_ccm(rgb16, a), b)
         assert np.allclose(once.data, twice.data, atol=1e-9)
 
+    def test_row_blocks_match_one_product(self):
+        # 200 x 160 = 32,000 pixels: one whole CCM block and a partial one
+        assert isp.CCM_BLOCK_ROWS < 200 * 160 < 2 * isp.CCM_BLOCK_ROWS
+        img = random_rgb(200, 160, seed=15)
+        rng = RngStream.from_seed(16)
+        ccm = np.eye(3) + 0.5 * (rng.uniforms(9).reshape(3, 3) - 0.5)
+        got = apply_ccm(img, ccm).data
+        assert got.tobytes() == (img.data.reshape(-1, 3) @ ccm).tobytes()
+
+    def test_row_blocks_stay_on_one_thread(self):
+        # OpenBLAS runs a GEMM of at most ONE_THREAD_MACS multiply-adds on
+        # the calling thread
+        assert isp.NILUT_GEMM_ROWS * 32 * 32 <= isp.ONE_THREAD_MACS
+        assert isp.CCM_BLOCK_ROWS * 9 <= isp.ONE_THREAD_MACS
+
 
 def _random_nilut(seed, scale=0.4) -> NilutWeights:
     rng = RngStream.from_seed(seed)

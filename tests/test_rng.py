@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rawbench.rng import RngStream, derive_key
+from rawbench.rng import BLOCK_WORDS, RngStream, derive_key
 
 
 def test_same_seed_same_sequence():
@@ -79,3 +79,59 @@ def test_stream_bits_pinned():
         "-0x1.92a6f4895a227p-3", "-0x1.39dea3af84e25p+0", "0x1.9afe210d83acdp-5"]
     assert rng.integers(4, 1000).tolist() == [65, 76, 303, 978]
     assert rng.counter == 12356
+
+
+def _one_shot_uniforms(rng, n):
+    """Every word of the draw in one array, as a stream without blocks
+    would make it; advances rng.counter by n."""
+    z = np.arange(rng.counter + 1, rng.counter + n + 1, dtype=np.uint64)
+    rng.counter += n
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(rng.key)
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(multiplier)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _one_shot_normals(rng, n):
+    """Box-Muller over one array of 2 * ceil(n / 2) uniforms, in the
+    layout of `RngStream.normals`."""
+    m = (n + 1) // 2
+    u = _one_shot_uniforms(rng, 2 * m)
+    r = 1.0 - u[0::2]
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    angle = u[1::2]
+    angle *= 2.0 * np.pi
+    out = np.empty(2 * m)
+    np.cos(angle, out=out[0::2])
+    np.sin(angle, out=out[1::2])
+    out[0::2] *= r
+    out[1::2] *= r
+    return out[:n]
+
+
+_B = BLOCK_WORDS
+
+
+@pytest.mark.parametrize("n", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 3, 3 * _B + 1])
+@pytest.mark.parametrize("draw, one_shot", [
+    ("uniforms", _one_shot_uniforms), ("normals", _one_shot_normals)])
+def test_blocks_match_one_shot_draw(n, draw, one_shot):
+    # the blocks change no bit and leave the counter where one draw does
+    blocked = RngStream(key=derive_key(2024, 3), counter=12345)
+    reference = RngStream(key=derive_key(2024, 3), counter=12345)
+    got = getattr(blocked, draw)(n)
+    assert got.tobytes() == one_shot(reference, n).tobytes()
+    assert blocked.counter == reference.counter
+
+
+@pytest.mark.parametrize("draw", ["uniforms", "normals"])
+def test_negative_count_is_refused_before_the_counter_moves(draw):
+    rng = RngStream(key=5, counter=10)
+    with pytest.raises(ValueError):
+        getattr(rng, draw)(-3)
+    assert rng.counter == 10
