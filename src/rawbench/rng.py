@@ -56,9 +56,9 @@ def _mix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _mix64_array(z: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+def _mix64_array(z: np.ndarray, shifted: np.ndarray) -> None:
     """SplitMix64 finalizer on a uint64 array, in place, with `shifted` (of
-    z's shape) as scratch; returns z."""
+    z's shape) as scratch."""
     # uint64 array ops wrap silently, unlike numpy scalars
     for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         np.right_shift(z, np.uint64(shift), out=shifted)
@@ -66,7 +66,6 @@ def _mix64_array(z: np.ndarray, shifted: np.ndarray) -> np.ndarray:
         z *= np.uint64(multiplier)
     np.right_shift(z, np.uint64(31), out=shifted)
     z ^= shifted
-    return z
 
 
 def derive_key(master_seed: int, stream_index: int = 0) -> int:
