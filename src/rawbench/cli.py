@@ -1,5 +1,5 @@
 """Command-line front end. Each subcommand is a thin validated wrapper over
-one library operation; all randomness flows from --seed (or RAWBENCH_SEED).
+one library operation; all randomness flows from --seed (0 when omitted).
 `augment` spreads its samples over the CPUs the process may use, and
 `bench` and `corrupt --sweep` spread their entries over --jobs threads
 (`pool.parallel_map`). Each sample or entry draws from its own stream and
@@ -16,7 +16,7 @@ Exit codes (EXIT_CODES maps the errors; the first matching row wins):
   0  success
   2  usage: argparse refused the command line (an unknown option or kind, a
      missing or conflicting input flag, an option the mode ignores, --jobs
-     or --n below 1)
+     or --n below 1, --seed outside [0, 2^64))
   4  FormatError: a file failed validation (formats.E_* codes)
   5  ParameterError, DimensionError: invalid parameters or dimensions
   6  MetricError: the metric is undefined for the records
@@ -26,7 +26,6 @@ Exit codes (EXIT_CODES maps the errors; the first matching row wins):
 
 import argparse
 import hashlib
-import os
 import sys
 from pathlib import Path
 
@@ -39,7 +38,7 @@ from . import raw as rawmod
 from .errors import DimensionError, FormatError, MetricError, ParameterError
 from .fit import FitConfig, fit_isp_params
 from .pool import parallel_map
-from .rng import SEED_LIMIT, RngStream, derive_key
+from .rng import RngStream, check_seed, derive_key
 
 EXIT_OK = 0
 EXIT_USAGE = 2  # argparse's own SystemExit code
@@ -68,16 +67,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _default_seed(value) -> int:
-    if value is None:
-        text = os.environ.get("RAWBENCH_SEED", "0")
-        try:
-            value = int(text)
-        except ValueError:
-            raise ParameterError(f"RAWBENCH_SEED={text!r} is not an integer") from None
-    if not 0 <= value < SEED_LIMIT:
-        raise ParameterError(f"seed {value} outside [0, 2^64)")
-    return value
+def _seed(text: str) -> int:
+    """argparse type of --seed (`rng.check_seed`)."""
+    try:
+        return check_seed(int(text))
+    except ValueError:  # not an integer, or a ParameterError: not a seed
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [0, 2^64), not {text!r}") from None
 
 
 def _load_input_rgb(path) -> rawmod.LinearRgbImage:
@@ -87,10 +83,6 @@ def _load_input_rgb(path) -> rawmod.LinearRgbImage:
     if magic == b"P6":
         return fmt.read_rgb(path)
     return rawmod.demosaic_bilinear(fmt.read_raw(path))
-
-
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def cmd_develop(args) -> int:
@@ -119,7 +111,8 @@ def _run_entry(entry_args):
     result = cor.apply_corruption(spec, rgb, depth=depth, flare=flare)
     out_path = Path(out_dir) / f"{image_id}__{spec.kind}__{spec.seed}.ppm"
     fmt.write_rgb(result, out_path)
-    return f"{image_id},{spec.kind},{spec.seed},{_sha256(out_path)}"
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    return f"{image_id},{spec.kind},{spec.seed},{digest}"
 
 
 def _run_entries(entries, rgb_for, depth, flare, out_dir: Path, n_jobs: int):
@@ -140,8 +133,8 @@ def cmd_corrupt(args) -> int:
     rgb = _load_input_rgb(args.input)
     depth = fmt.read_depth(args.depth) if args.depth else None
     flare = fmt.read_asset(args.flare) if args.flare else None
+    seed = args.seed or 0  # None without --seed
     if args.sweep:
-        seed = _default_seed(args.seed)
         image_id = Path(args.input).stem  # the manifest's id: checked first
         fmt.check_image_id(image_id, f"{args.input}: input stem")
         out_dir = Path(args.out)
@@ -151,7 +144,7 @@ def cmd_corrupt(args) -> int:
         fmt.write_bench_manifest(seed, entries, out_dir / "manifest.json")
         return EXIT_OK
     spec = (fmt.read_corruption_spec(args.spec) if args.spec
-            else cor.CorruptionSpec(kind=args.kind, seed=_default_seed(args.seed)))
+            else cor.CorruptionSpec(kind=args.kind, seed=seed))
     result = cor.apply_corruption(spec, rgb, depth=depth, flare=flare)
     fmt.write_rgb(result, args.out)
     return EXIT_OK
@@ -161,15 +154,14 @@ def cmd_augment(args) -> int:
     rgb = _load_input_rgb(args.input)
     config = (fmt.read_augment_config(args.augment_config)
               if args.augment_config else aug.AugmentConfig())
-    seed = _default_seed(args.seed)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).stem
 
     def sample(i):
         """Sample i from its own stream; returns its coefficient row."""
-        rng = RngStream.from_seed(seed, stream_index=i)
+        rng = RngStream.from_seed(args.seed, stream_index=i)
         out, branch, params = aug.augment_pipeline(rgb, config, rng)
+        out_dir.mkdir(parents=True, exist_ok=True)  # no --out if every draw fails
         fmt.write_rgb(out, out_dir / f"{stem}_aug_{i:04d}.ppm")
         return [str(i), branch] + [str(params.get(k, "")) for k in aug.PARAM_KEYS]
 
@@ -249,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--spec")
     source.add_argument("--kind", choices=cor.KINDS)
     source.add_argument("--sweep", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, help="default 0; not with --spec")
     p.add_argument("--out", required=True)
     p.add_argument("--depth")
     p.add_argument("--flare")
@@ -260,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--augment-config")
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_augment)
 

@@ -27,7 +27,7 @@ from .errors import (DimensionError, ParameterError, is_finite_real, is_int,
                      is_real)
 from .isp import apply_ccm
 from .raw import BayerImage, LinearRgbImage, spatial_filter
-from .rng import RngStream
+from .rng import RngStream, check_seed
 
 # Radial spikes in the procedural flare layer.
 FLARE_SPIKES = 6
@@ -69,6 +69,7 @@ class CorruptionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown corruption kind: {self.kind!r}")
+        check_seed(self.seed)
 
 
 def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str):

@@ -56,7 +56,7 @@ from .errors import DimensionError, ParameterError, is_finite_real, is_int
 from .isp import (IspParams, NilutWeights, gain_denoise_sharpen,
                   make_gaussian_kernel, matmul_rows, sog_white_balance)
 from .raw import BayerImage, LinearRgbImage, demosaic_bilinear
-from .rng import SEED_LIMIT, RngStream
+from .rng import RngStream, check_seed
 
 # The search vector: each slot's default bounds and the map vector_to_params
 # applies to it. The kernel angle theta is always 0.
@@ -90,11 +90,10 @@ class FitConfig:
             raise ParameterError("loss must be 'l1' or 'l2'")
         if self.optimizer not in ("coordinate", "evolution"):
             raise ParameterError("optimizer must be 'coordinate' or 'evolution'")
-        for name in ("budget", "population", "seed", "kernel_size"):
+        for name in ("budget", "population", "kernel_size"):
             if not is_int(getattr(self, name)):
                 raise ParameterError(f"{name} must be an integer")
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise ParameterError("seed must be in [0, 2^64)")
+        check_seed(self.seed)
         if not isinstance(self.fit_lut, bool):
             raise ParameterError("fit_lut must be true or false")
         if not (is_finite_real(self.init_step) and 0.0 < self.init_step <= 1.0):

@@ -9,15 +9,16 @@ width, height, maxval; '#' comments allowed), _pnm_codes decodes the payload
 time, and _write_pnm writes codes back. Each image reader and writer only
 names the magics and maxvals it accepts.
 
-Every JSON document carries schema_version: 1; unknown fields are rejected.
+Every JSON document carries schema_version: 1, except that an eval-records
+file may also be a bare array of records; unknown fields are rejected.
 Wherever a float meets an integer code the rounding is half away from zero.
 
 Each config dataclass defines its file's fields: IspParams, AugmentConfig
 (with TruncatedNormal), FitConfig and EvalRecord (a records row). _from_json
 and _to_json read and write exactly those fields, and __post_init__ makes
 every type and value check. Spec, manifest, NILUT and sidecar files demand
-more than their dataclasses (a seed; activation and residual; E_SIDECAR_*
-codes), so they keep their own readers.
+more than their dataclasses (a seed field and E_RANGE checks on params;
+activation and residual; E_SIDECAR_* codes), so they keep their own readers.
 
 A manifest image_id names files, `<id>.pgm` under `bench --input-dir` and
 `<id>__<kind>__<seed>.ppm` under `--out`, and starts a line
@@ -49,6 +50,7 @@ import json
 import math
 import re
 from collections import namedtuple
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -58,11 +60,11 @@ from .errors import FormatError, ParameterError, is_int
 from .raw import (BayerImage, CfaPattern, GrayImage, LinearRgbImage,
                   normalize_raw)
 from .isp import (IspParams, NILUT_LAYER_DIMS, NilutWeights, encode_display)
-from .corrupt import KINDS, REGISTRY, CorruptionSpec, DepthMap
+from .corrupt import REGISTRY, CorruptionSpec, DepthMap
 from .augment import AugmentConfig, TruncatedNormal
 from .fit import FitConfig
 from .metrics import EvalRecord, RobustnessReport, normalize_score
-from .rng import SEED_LIMIT
+from .rng import check_seed
 
 SCHEMA_VERSION = 1
 
@@ -80,6 +82,16 @@ E_SCHEMA_VALUE = "E_SCHEMA_VALUE"
 E_RANGE = "E_RANGE"
 E_CSV_HEADER = "E_CSV_HEADER"
 E_CSV_VALUE = "E_CSV_VALUE"
+
+
+@contextmanager
+def _as_format_error(ctx: str, code: str = E_SCHEMA_VALUE, errors=ParameterError):
+    """An error of `errors` raised in the block, as FormatError `code` under
+    ctx."""
+    try:
+        yield
+    except errors as e:
+        raise FormatError(code, f"{ctx}: {e}")
 
 
 def _round_half_away(values: np.ndarray) -> np.ndarray:
@@ -169,9 +181,9 @@ _SIDECAR_FIELDS = {"schema_version", "cfa", "bit_depth", "black_level",
                    "white_level", "sensor_name"}
 
 
-def read_raw(pgm_path, sidecar_path=None) -> BayerImage:
-    """Load and normalize a RAW container (P5 maxval 65535 + JSON sidecar)."""
-    sidecar_path = Path(sidecar_path or Path(pgm_path).with_suffix(".json"))
+def read_raw(pgm_path) -> BayerImage:
+    """Load and normalize a RAW container: P5 maxval 65535 + `<stem>.json`."""
+    sidecar_path = Path(pgm_path).with_suffix(".json")
     header = _read_pnm(pgm_path, ("P5",), (65535,))
     if header.width % 2 or header.height % 2:  # before the payload size
         raise FormatError(E_PGM_DIMS, f"{pgm_path}: dimensions must be even")
@@ -182,18 +194,15 @@ def read_raw(pgm_path, sidecar_path=None) -> BayerImage:
         raise FormatError(E_SIDECAR_FIELD, f"{sidecar_path}: sidecar missing")
     _check_schema(sidecar, _SIDECAR_FIELDS, set(), str(sidecar_path),
                   field_code=E_SIDECAR_FIELD)
-    try:
+    with _as_format_error(f"{sidecar_path}: cfa", E_SIDECAR_VALUE, ValueError):
         cfa = CfaPattern(sidecar["cfa"])
-    except ValueError:
-        raise FormatError(E_SIDECAR_VALUE,
-                          f"{sidecar_path}: bad cfa {sidecar['cfa']!r}")
     bit_depth = sidecar["bit_depth"]
     black, white = sidecar["black_level"], sidecar["white_level"]
     if not (is_int(bit_depth) and 8 <= bit_depth <= 16):
         raise FormatError(E_SIDECAR_VALUE, f"{sidecar_path}: bit_depth out of [8,16]")
-    if not (is_int(black) and is_int(white) and black < white <= 2**bit_depth - 1):
+    if not (is_int(black) and is_int(white) and 0 <= black < white <= 2**bit_depth - 1):
         raise FormatError(E_SIDECAR_VALUE,
-                          f"{sidecar_path}: need black < white <= 2^bits - 1")
+                          f"{sidecar_path}: need 0 <= black < white <= 2^bits - 1")
     if not isinstance(sidecar["sensor_name"], str):
         raise FormatError(E_SIDECAR_VALUE, f"{sidecar_path}: sensor_name not a string")
     if codes.max() > 2**bit_depth - 1:
@@ -202,9 +211,8 @@ def read_raw(pgm_path, sidecar_path=None) -> BayerImage:
     return normalize_raw(codes, black, white, bit_depth, cfa)
 
 
-def write_raw(bayer: BayerImage, pgm_path, sidecar_path=None,
-              sensor_name: str = "unknown") -> None:
-    """Denormalize to integer codes (half away from zero) and write the pair."""
+def write_raw(bayer: BayerImage, pgm_path, sensor_name: str = "unknown") -> None:
+    """Denormalize to integer codes (half away from zero); write the pair."""
     span = bayer.white_level - bayer.black_level
     _write_pnm(pgm_path, _pnm_encode(
         bayer.data, 65535,
@@ -216,7 +224,7 @@ def write_raw(bayer: BayerImage, pgm_path, sidecar_path=None,
         "black_level": bayer.black_level,
         "white_level": bayer.white_level,
         "sensor_name": sensor_name,
-    }, sidecar_path or Path(pgm_path).with_suffix(".json"))
+    }, Path(pgm_path).with_suffix(".json"))
 
 
 def write_rgb(img: LinearRgbImage, path, mode: str = "linear16_ppm",
@@ -266,10 +274,8 @@ def write_json(obj, path) -> None:
 
 
 def _load_json(path):
-    try:
+    with _as_format_error(path, E_JSON_PARSE, ValueError):  # not UTF-8, or not JSON
         return json.loads(Path(path).read_bytes())
-    except ValueError as e:  # not UTF-8, or not JSON
-        raise FormatError(E_JSON_PARSE, f"{path}: {e}")
 
 
 def _check_schema(obj, required: set, optional: set, ctx: str,
@@ -299,12 +305,10 @@ def _from_json(cls, obj, ctx: str, convert=None, versioned: bool = True):
     _check_schema(obj, required | ({"schema_version"} if versioned else set()),
                   names - required, ctx)
     convert = convert or {}
-    try:
+    with _as_format_error(ctx):
         kwargs = {name: convert[name](obj[name], f"{ctx}: {name}")
                   if name in convert else obj[name] for name in names & set(obj)}
         return cls(**kwargs)
-    except ParameterError as e:
-        raise FormatError(E_SCHEMA_VALUE, f"{ctx}: {e}")
 
 
 def _to_json(value, **extra):
@@ -394,20 +398,12 @@ def write_corruption_spec(spec: CorruptionSpec, path) -> None:
     write_json(_to_json(spec, schema_version=SCHEMA_VERSION), path)
 
 
-def _check_seed(value, ctx: str) -> None:
-    if not (is_int(value) and 0 <= value < SEED_LIMIT):
-        raise FormatError(E_SCHEMA_VALUE, f"{ctx} must be an integer in [0, 2^64)")
-
-
 def _spec_from_json(obj, ctx: str) -> CorruptionSpec:
     """The kind, seed and params of a spec file or manifest entry."""
-    kind = obj["kind"]
-    if kind not in KINDS:
-        raise FormatError(E_SCHEMA_VALUE, f"{ctx}: unknown kind {kind!r}")
-    _check_seed(obj["seed"], f"{ctx}: seed")
-    params = obj.get("params", {})
-    validate_spec_params(kind, params, ctx=ctx)
-    return CorruptionSpec(kind=kind, seed=obj["seed"], params=params)
+    with _as_format_error(ctx):
+        spec = CorruptionSpec(obj["kind"], obj["seed"], obj.get("params", {}))
+    validate_spec_params(spec.kind, spec.params, ctx=ctx)
+    return spec
 
 
 def read_corruption_spec(path) -> CorruptionSpec:
@@ -463,7 +459,8 @@ def read_bench_manifest(path):
     obj = _load_json(path)
     _check_schema(obj, {"schema_version", "master_seed", "entries"}, set(),
                   str(path))
-    _check_seed(obj["master_seed"], f"{path}: master_seed")
+    with _as_format_error(f"{path}: master_seed"):
+        master_seed = check_seed(obj["master_seed"])
     if not isinstance(obj["entries"], list):
         raise FormatError(E_SCHEMA_VALUE, f"{path}: entries must be a list")
     entries, seen = [], set()
@@ -479,7 +476,7 @@ def read_bench_manifest(path):
                               f"{ctx}: duplicate image id for (kind, seed) {key}")
         seen.add(key)
         entries.append((image_id, spec))
-    return obj["master_seed"], entries
+    return master_seed, entries
 
 
 # ----------------------------------------------------------- records layer
@@ -499,10 +496,8 @@ def read_eval_records(path):
         return [_from_json(EvalRecord, row, f"{path}: records[{i}]", score,
                            versioned=False) for i, row in enumerate(rows)]
     with open(path, newline="") as f:
-        try:
+        with _as_format_error(path, E_CSV_VALUE, (UnicodeDecodeError, csv.Error)):
             rows = list(csv.reader(f))
-        except (UnicodeDecodeError, csv.Error) as e:
-            raise FormatError(E_CSV_VALUE, f"{path}: {e}")
     if rows[:1] != [["method", "condition", "score"]]:
         raise FormatError(E_CSV_HEADER,
                           f"{path}: expected header method,condition,score")
@@ -512,10 +507,9 @@ def read_eval_records(path):
             continue
         if len(row) != 3:
             raise FormatError(E_CSV_VALUE, f"{path}: row {i + 2} malformed")
-        try:  # a non-numeric score, or a ParameterError of the record
+        # a non-numeric score, or a ParameterError of the record
+        with _as_format_error(f"{path}: row {i + 2}", E_CSV_VALUE, ValueError):
             records.append(EvalRecord(row[0], row[1], normalize_score(float(row[2]))))
-        except ValueError as e:
-            raise FormatError(E_CSV_VALUE, f"{path}: row {i + 2}: {e}")
     return records
 
 

@@ -412,8 +412,8 @@ def band_halo(kernel_size: int) -> int:
 def encode_display(img: LinearRgbImage, gamma: float = 2.2) -> np.ndarray:
     """Clamp, apply encoding gamma, quantize to uint8 (half away from zero),
     in one float temporary."""
-    if gamma <= 0:
-        raise ParameterError("gamma must be positive")
+    if not (is_finite_real(gamma) and gamma > 0):
+        raise ParameterError(f"gamma must be finite and positive, not {gamma}")
     v = np.clip(img.data, 0.0, 1.0)
     v **= 1.0 / gamma  # `**` in place, with its fast paths for 2 and 0.5
     v *= 255.0

@@ -65,9 +65,9 @@ class BayerImage:
             raise ParameterError("mosaic values must lie in [0, 1]")
         if self.bit_depth < 8:
             raise ParameterError("bit_depth must be >= 8")
-        if not self.black_level < self.white_level <= 2**self.bit_depth - 1:
+        if not 0 <= self.black_level < self.white_level <= 2**self.bit_depth - 1:
             raise ParameterError(
-                "require black_level < white_level <= 2^bit_depth - 1"
+                "require 0 <= black_level < white_level <= 2^bit_depth - 1"
             )
 
     @property

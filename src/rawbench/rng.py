@@ -13,6 +13,10 @@ integer hash of (key, k), so state never depends on float arithmetic.
   np.log differed from the C library's log by 1 ulp on 336 of 100,000
   Box-Muller radii.
 
+A seed is an integer in [0, 2^64), numpy integers included, bools not.
+`check_seed` holds that rule and `derive_key` applies it to every stream's
+seed, so no seed folds onto another seed's stream.
+
 Draws are made in blocks of BLOCK_WORDS counter values, each run through
 every pass before the next, so a block's arrays stay in the L2 cache
 instead of making one memory pass over the whole draw per step.
@@ -30,9 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ParameterError, is_int
+
 _MASK64 = (1 << 64) - 1
-# Seeds are keys of 64 bits: _mix64 would fold a larger or negative seed
-# onto another seed's stream.
 SEED_LIMIT = 1 << 64
 _GOLDEN = 0x9E3779B97F4A7C15
 _STREAM_SALT = 0xD1B54A32D192ED03
@@ -68,9 +72,17 @@ def _mix64_array(z: np.ndarray, shifted: np.ndarray) -> None:
     z ^= shifted
 
 
+def check_seed(seed) -> int:
+    """`seed` as a Python int; ParameterError unless it is a seed (module docstring)."""
+    if not (is_int(seed) and 0 <= int(seed) < SEED_LIMIT):
+        raise ParameterError(f"seed {seed!r} is not an integer in [0, 2^64)")
+    return int(seed)
+
+
 def derive_key(master_seed: int, stream_index: int = 0) -> int:
     """Key for a per-image substream: mix(master_seed, stream_index)."""
-    return _mix64(_mix64(master_seed) ^ _mix64((stream_index + 1) * _STREAM_SALT))
+    return _mix64(_mix64(check_seed(master_seed))
+                  ^ _mix64((stream_index + 1) * _STREAM_SALT))
 
 
 @dataclass

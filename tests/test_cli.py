@@ -80,6 +80,15 @@ class TestDevelop:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("gamma", ["0", "nan", "inf"])
+def test_display_gamma_not_finite_and_positive_exits_invalid(tmp_path, raw_path,
+                                                             gamma):
+    out = tmp_path / "out.ppm"
+    assert cli.main(["develop", "--raw", str(raw_path), "--display8", "--gamma",
+                     gamma, "--out", str(out)]) == cli.EXIT_INVALID
+    assert not out.exists()
+
+
 def test_invalid_kernel_size_exits_invalid(tmp_path, raw_path):
     code = cli.main(["develop", "--raw", str(raw_path), "--kernel-size", "4",
                      "--out", str(tmp_path / "out.ppm")])
@@ -169,31 +178,34 @@ class TestCorruptSpec:
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_command_line_seed_outside_64_bits_is_invalid(self, tmp_path,
                                                           raw_path, seed):
+        # argparse refuses it (exit 2), as it does --jobs 0
         out = tmp_path / "out.ppm"
-        assert cli.main(["corrupt", "--input", str(raw_path), "--kind",
-                         "low_light", "--seed", seed, "--out",
-                         str(out)]) == cli.EXIT_INVALID
+        assert _usage_exit(["corrupt", "--input", str(raw_path), "--kind",
+                            "low_light", "--seed", seed, "--out",
+                            str(out)]) == cli.EXIT_USAGE
         assert not out.exists()
 
-    @pytest.mark.parametrize("seed", ["abc", "1.5", "-1", str(2**64)])
-    def test_bad_seed_environment_variable_is_invalid(self, tmp_path, raw_path,
-                                                      monkeypatch, seed):
-        # a traceback (exit 1) for a non-integer before
-        monkeypatch.setenv("RAWBENCH_SEED", seed)
+    def test_largest_64_bit_command_line_seed_is_accepted(self, tmp_path,
+                                                          raw_path):
         out = tmp_path / "out.ppm"
-        assert cli.main(["corrupt", "--input", str(raw_path), "--kind",
-                         "low_light", "--out", str(out)]) == cli.EXIT_INVALID
-        assert not out.exists()
+        assert cli.main(["corrupt", "--input", str(raw_path), "--kind", "fog",
+                         "--seed", str(2**64 - 1), "--out",
+                         str(out)]) == cli.EXIT_OK
+        assert out.exists()
 
-    def test_spec_ignores_the_seed_environment_variable(self, tmp_path, raw_path,
-                                                        monkeypatch):
-        # the spec file holds the seed, so RAWBENCH_SEED is never read
-        argv = ["corrupt", "--input", str(raw_path), "--spec", str(_spec(tmp_path))]
-        plain, with_env = tmp_path / "plain.ppm", tmp_path / "env.ppm"
-        assert cli.main(argv + ["--out", str(plain)]) == cli.EXIT_OK
-        monkeypatch.setenv("RAWBENCH_SEED", "abc")
-        assert cli.main(argv + ["--out", str(with_env)]) == cli.EXIT_OK
-        assert with_env.read_bytes() == plain.read_bytes()
+    @pytest.mark.parametrize("command", [
+        ["corrupt", "--kind", "fog"], ["corrupt", "--sweep"], ["augment", "--n", "2"]],
+        ids=["kind", "sweep", "augment"])
+    def test_omitted_seed_is_seed_0(self, tmp_path, raw_path, command):
+        # the output bytes depend on the command line alone
+        outs = []
+        for seed in ([], ["--seed", "0"]):
+            out = tmp_path / f"out{len(outs)}"
+            argv = command + ["--input", str(raw_path), "--out", str(out)] + seed
+            assert cli.main(argv) == cli.EXIT_OK
+            outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())}
+                        if out.is_dir() else out.read_bytes())
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("kind, params", [
         ("sensor_matrix_a", {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1.5]]}),
@@ -477,12 +489,19 @@ def test_corrupt_without_spec_or_kind_is_usage(tmp_path, raw_path, capsys):
     ["corrupt", "--input", "{missing}", "--spec", "{spec}", "--jobs", "2"],
     ["develop", "--raw", "{missing}", "--gamma", "1.8"],
     ["develop", "--raw", "{missing}", "--gamma", "-1"],
+    # a seed outside [0, 2^64), or no integer, is refused by argparse
+    ["corrupt", "--input", "{missing}", "--kind", "fog", "--seed", "-1"],
+    ["corrupt", "--input", "{missing}", "--sweep", "--seed", "1.5"],
+    ["augment", "--input", "{missing}", "--n", "2", "--seed", "-1"],
+    ["augment", "--input", "{missing}", "--n", "2", "--seed", str(2**64)],
 ], ids=["corrupt-no-source", "corrupt-spec-kind", "corrupt-kind-sweep",
         "corrupt-spec-sweep", "corrupt-bogus-kind", "corrupt-jobs-0",
         "sweep-jobs-0", "bench-jobs-0", "augment-n-0", "bench-no-input",
         "bench-no-input-empty-manifest", "bench-raw-and-input-dir",
         "corrupt-spec-seed", "corrupt-kind-jobs", "corrupt-spec-jobs",
-        "develop-gamma-without-display8", "develop-negative-gamma-without-display8"])
+        "develop-gamma-without-display8", "develop-negative-gamma-without-display8",
+        "corrupt-seed-negative", "sweep-seed-not-integer", "augment-seed-negative",
+        "augment-seed-2^64"])
 def test_usage_error_exits_2_and_writes_nothing(tmp_path, raw_path, argv):
     entry = {"image_id": "scene", "kind": "low_light", "seed": 3}
     paths = {"raw": raw_path, "spec": _spec(tmp_path), "dir": tmp_path,
@@ -553,7 +572,9 @@ def test_csv_records_report_as_their_json(tmp_path):
 # Every code each subcommand can return, from one command line each; only a
 # success creates --out. Paths:
 # {raw} a 16^2 RAW, {small_*} 8^2 files that do not match it, {missing} no
-# file; {manifest} holds one fog entry and {records} a valid report.
+# file; {manifest} holds one fog entry, {records} a valid report and
+# {tiny_blur} an augment config whose every sample draws a blur too narrow
+# to build a kernel for.
 EXIT_MATRIX = [
     ("develop", 0, ["--raw", "{raw}"]),
     ("develop", 2, ["--raw", "{raw}", "--gamma", "1.8"]),
@@ -566,7 +587,8 @@ EXIT_MATRIX = [
     ("augment", 0, ["--input", "{raw}", "--n", "2"]),
     ("augment", 2, ["--input", "{raw}", "--n", "0"]),
     ("augment", 4, ["--input", "{missing}", "--n", "2"]),
-    ("augment", 5, ["--input", "{raw}", "--n", "2", "--seed", "-1"]),
+    ("augment", 5, ["--input", "{raw}", "--n", "2", "--augment-config",
+                    "{tiny_blur}"]),
     ("bench", 0, ["--manifest", "{manifest}", "--raw", "{raw}"]),
     ("bench", 2, ["--manifest", "{manifest}"]),
     ("bench", 4, ["--manifest", "{missing}", "--raw", "{raw}"]),
@@ -598,6 +620,10 @@ def test_exit_code_matrix(tmp_path, raw_path, command, code, args):
         "small_depth": tmp_path / "depth.pgm", "target": tmp_path / "target.ppm",
         "small_target": tmp_path / "small_target.ppm",
         "fit": _write_json(tmp_path / "fit.json", {"schema_version": 1, "budget": 3}),
+        "tiny_blur": _write_json(tmp_path / "augment.json", {
+            "schema_version": 1, "prob_original": 0, "prob_brightness": 0,
+            "prob_chroma": 0, "prob_quality": 1, "prob_aniso": 0,
+            "iso_width_lo": 1e-300, "iso_width_hi": 1e-300}),
         "manifest": _write_json(tmp_path / "manifest.json", {
             "schema_version": 1, "master_seed": 5,
             "entries": [{"image_id": "scene", "kind": "fog", "seed": 3}]}),

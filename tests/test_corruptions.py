@@ -420,6 +420,18 @@ class TestDispatcher:
         b = apply_corruption(spec, x)
         assert np.array_equal(a.data, b.data)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, 1.5, "7"])
+    def test_seed_outside_the_rule_is_rejected(self, seed):
+        # 2**64 would replay seed 0's output and True seed 1's
+        with pytest.raises(ParameterError, match="2\\^64"):
+            CorruptionSpec(kind="sensor_noise", seed=seed)
+
+    def test_numpy_seed_gives_the_int_seed_output(self):
+        x = _structured(16, 16)
+        outs = [apply_corruption(CorruptionSpec(kind="sensor_noise", seed=s), x)
+                for s in (np.int64(4), 4)]
+        assert np.array_equal(outs[0].data, outs[1].data)
+
     @pytest.mark.parametrize("kind", ["fog", "rain_fog"])
     def test_depth_kind_without_depth_uses_procedural_fallback(self, kind):
         x = _structured(12, 8)

@@ -402,6 +402,18 @@ def test_fit_config_accepts_numpy_scalars():
     assert config.budget == 5 and config.init_step == 0.5
 
 
+def test_evolution_fit_with_a_numpy_seed_is_the_int_seed_fit():
+    # a numpy seed reached the stream's key unconverted and overflowed there;
+    # the returned params are the trace's best vector
+    bayer = random_bayer(16, 16, seed=2)
+    target = random_rgb(16, 16, seed=6)
+    (_, trace), (_, int_trace) = [fit.fit_isp_params(bayer, target, FitConfig(
+        optimizer="evolution", budget=24, seed=seed)) for seed in (np.int64(2), 2)]
+    assert len(trace) == len(int_trace) == 24
+    for (v, loss), (int_v, int_loss) in zip(trace, int_trace):
+        assert v.tobytes() == int_v.tobytes() and loss == int_loss
+
+
 def test_fit_config_accepts_the_largest_64_bit_seed():
     assert FitConfig(seed=2**64 - 1).seed == 2**64 - 1
     assert FitConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1

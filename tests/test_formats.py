@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rawbench import GrayImage, cli, formats, isp, visualize_raw
+from rawbench import BayerImage, CfaPattern, GrayImage, cli, formats, isp, visualize_raw
 from rawbench import augment as aug
 from rawbench import corrupt as cor
 from rawbench.fit import (DEFAULT_BOUNDS, FIT_DIMS, LUT_DIMS, FitConfig,
@@ -597,6 +597,32 @@ def test_non_positive_pnm_dimensions(tmp_path, capsys, header):
     assert cli.main(["corrupt", "--input", str(image), "--kind", "low_light",
                      "--out", str(tmp_path / "out.ppm")]) == cli.EXIT_FORMAT
     assert "E_PGM_DIMS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("black_level", [-1, -5])
+def test_sidecar_black_level_must_not_be_negative(tmp_path, capsys, black_level):
+    # a negative black level would write a 0 sample as a wrapped code
+    argv, targets = _build(tmp_path, "read_raw")
+    sidecar = json.loads(targets[""].read_text())
+    _write_json(targets[""], {**sidecar, "black_level": black_level})
+    out = tmp_path / "out.ppm"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_FORMAT
+    assert "E_SIDECAR_VALUE" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_raw_round_trip_keeps_a_zero_sample_at_the_black_level(tmp_path):
+    data = random_bayer(8, 8, seed=4).data.copy()
+    data[0, 0] = 0.0
+    bayer = BayerImage(data, CfaPattern.RGGB, 12, 64, 4095)
+    formats.write_raw(bayer, tmp_path / "scene.pgm")
+    codes = np.frombuffer((tmp_path / "scene.pgm").read_bytes()[-2 * 64:], ">u2")
+    assert codes[0] == 64
+    back = formats.read_raw(tmp_path / "scene.pgm")
+    assert (back.black_level, back.white_level, back.data[0, 0]) == (64, 4095, 0.0)
+    formats.write_raw(back, tmp_path / "again.pgm")
+    assert ((tmp_path / "again.pgm").read_bytes()
+            == (tmp_path / "scene.pgm").read_bytes())
 
 
 def test_sidecar_sensor_name_must_be_a_string(tmp_path, capsys):

@@ -430,6 +430,13 @@ class TestEncodeDisplay:
         out = encode_display(img, gamma=1.0)
         assert out[0, 0, 0] == 0 and out[0, 0, 1] == 255
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_gamma_must_be_finite_and_positive(self, gamma):
+        # NaN wrote all zeros (and warned), +inf all 255
+        img = LinearRgbImage(np.full((1, 1, 3), 0.5))
+        with pytest.raises(ParameterError, match="gamma"):
+            encode_display(img, gamma=gamma)
+
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 2.2, 2.4])
     def test_matches_the_formula_on_whole_arrays(self, gamma):
         # the in-place steps give the codes of the formula written out,

@@ -406,6 +406,16 @@ class TestTypes:
             BayerImage(data=np.zeros((2, 2)), cfa=CfaPattern.RGGB, bit_depth=12,
                        black_level=4095, white_level=64)
 
+    @pytest.mark.parametrize("black_level", [-1, -5])
+    def test_negative_black_level_rejected(self, black_level):
+        # write_raw would store a 0 sample as the wrapped code 2^16 + black
+        with pytest.raises(ParameterError, match="0 <= black_level"):
+            BayerImage(data=np.zeros((4, 4)), cfa=CfaPattern.RGGB, bit_depth=16,
+                       black_level=black_level, white_level=65535)
+        with pytest.raises(ParameterError, match="0 <= black_level"):
+            normalize_raw(np.zeros((4, 4), dtype=np.uint16), black_level, 65535,
+                          16, CfaPattern.RGGB)
+
     def test_nan_rejected(self):
         data = np.zeros((2, 2, 3))
         data[0, 0, 0] = np.nan

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rawbench.rng import BLOCK_WORDS, RngStream, derive_key
+from rawbench.errors import ParameterError
+from rawbench.rng import BLOCK_WORDS, RngStream, check_seed, derive_key
 
 
 def test_same_seed_same_sequence():
@@ -135,3 +136,18 @@ def test_negative_count_is_refused_before_the_counter_moves(draw):
     with pytest.raises(ValueError):
         getattr(rng, draw)(-3)
     assert rng.counter == 10
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 1.5, "7"])
+@pytest.mark.parametrize("keyed", [check_seed, derive_key, RngStream.from_seed])
+def test_a_seed_outside_the_rule_keys_no_stream(keyed, seed):
+    # -1 and 2**64 would fold onto seeds 2**64 - 1 and 0, True onto 1
+    with pytest.raises(ParameterError, match="2\\^64"):
+        keyed(seed)
+
+
+@pytest.mark.parametrize("seed", [np.uint64(5), np.int64(5), np.int8(5)])
+def test_a_numpy_seed_keys_the_stream_of_the_equal_int(seed):
+    assert type(check_seed(seed)) is int
+    assert (RngStream.from_seed(seed, 3).uniforms(8).tobytes()
+            == RngStream.from_seed(5, 3).uniforms(8).tobytes())
