@@ -1,7 +1,13 @@
-"""Training-time augmentation sampler for linear demosaiced Raw-RGB:
-brightness (mixture of truncated Gaussians), chromaticity (per-channel gains
-constrained to sum to 3), quality degradation (iso/aniso Gaussian blur plus
-AWGN), selected with probability 0.25 each alongside the untouched original.
+"""Training-time augmentation sampler for linear demosaiced Raw-RGB.
+
+BRANCHES is the one table of its four branches: the untouched original,
+brightness (a mixture of truncated Gaussians), chromaticity (per-channel
+gains that sum to 3) and quality degradation (iso/aniso Gaussian blur, then
+AWGN). Each is a function (x, config, rng) -> (image, params) beside the
+keys of its params. A sample takes branch <name> with probability
+AugmentConfig.prob_<name>; PARAM_KEYS, the columns of the CLI's
+coefficients.csv, is read from the table. Quality always blurs before it
+adds noise, as optics blur the light before the sensor adds its noise.
 
 Chromaticity gains are quantized to a dyadic grid (2^-26) so the sum-to-3
 constraint holds exactly in floating point, not just approximately.
@@ -79,7 +85,6 @@ class AugmentConfig:
     aniso_minor_frac_hi: float = 1.0
     prob_aniso: float = 0.5
     awgn_sigma_max: float = 0.1
-    blur_before_noise: bool = True
 
     def __post_init__(self):
         if not all(isinstance(tn, TruncatedNormal)
@@ -99,23 +104,12 @@ class AugmentConfig:
         for name in ("iso_width_lo", "aniso_major_lo", "aniso_minor_frac_lo"):
             if getattr(self, name) <= 0:  # sampled blur radii must be positive
                 raise ParameterError(f"{name} must be positive")
-        if not isinstance(self.blur_before_noise, bool):
-            raise ParameterError("blur_before_noise must be true or false")
         sizes = self.kernel_sizes
         if not (isinstance(sizes, tuple) and sizes
                 and all(is_int(s) and s >= 1 and s % 2 for s in sizes)):
             raise ParameterError("kernel sizes must be odd integers >= 1")
-        probs = (self.prob_original + self.prob_brightness
-                 + self.prob_chroma + self.prob_quality)
-        if abs(probs - 1.0) > 1e-9:
+        if abs(sum(getattr(self, f"prob_{b}") for b in BRANCHES) - 1.0) > 1e-9:
             raise ParameterError("branch probabilities must sum to 1")
-
-
-BRANCHES = ("original", "brightness", "chroma", "quality")
-# The keys of augment_pipeline's params over all branches, in the column
-# order of the CLI's coefficients.csv.
-PARAM_KEYS = ("omega", "omega_r", "omega_g", "omega_b", "kind", "size",
-              "angle", "r1", "r2", "awgn_sigma")
 
 
 def sample_truncated_normal(tn: TruncatedNormal, rng: RngStream) -> float:
@@ -126,36 +120,28 @@ def sample_truncated_normal(tn: TruncatedNormal, rng: RngStream) -> float:
             return v
 
 
-def sample_brightness_coeff(config: AugmentConfig, rng: RngStream):
-    """Draw (omega, component) from the two-component truncated mixture."""
+def augment_brightness(x: LinearRgbImage, config: AugmentConfig, rng: RngStream):
+    """omega from the truncated mixture: dark with probability brightness_mix."""
     dark = rng.uniform() < config.brightness_mix
     tn = config.brightness_dark if dark else config.brightness_bright
-    return sample_truncated_normal(tn, rng), ("dark" if dark else "bright")
-
-
-def augment_brightness(x: LinearRgbImage, config: AugmentConfig, rng: RngStream):
-    omega, _ = sample_brightness_coeff(config, rng)
-    return LinearRgbImage(omega * x.data), omega
-
-
-def sample_chroma_coeffs(config: AugmentConfig, rng: RngStream):
-    """(w_r, w_g, w_b) with w_r + w_g + w_b == 3 exactly (dyadic grid)."""
-    w_r = round(rng.uniform(config.chroma_lo, config.chroma_hi) * _GRID) / _GRID
-    w_b = round(rng.uniform(config.chroma_lo, config.chroma_hi) * _GRID) / _GRID
-    w_g = 3.0 - w_r - w_b
-    return w_r, w_g, w_b
+    omega = sample_truncated_normal(tn, rng)
+    return LinearRgbImage(omega * x.data), {"omega": omega}
 
 
 def augment_chromaticity(x: LinearRgbImage, config: AugmentConfig, rng: RngStream):
-    coeffs = sample_chroma_coeffs(config, rng)
-    return LinearRgbImage(x.data * np.array(coeffs)), coeffs
+    """Gains (w_r, w_g, w_b) with w_r + w_g + w_b == 3 exactly; a bound near
+    the float limit gives a non-finite gain, which the image refuses."""
+    w_r, w_b = (float(np.rint(rng.uniform(config.chroma_lo, config.chroma_hi)
+                              * _GRID)) / _GRID for _ in range(2))
+    w_g = 3.0 - w_r - w_b
+    return (LinearRgbImage(x.data * np.array([w_r, w_g, w_b])),
+            {"omega_r": w_r, "omega_g": w_g, "omega_b": w_b})
 
 
 def sample_quality_params(config: AugmentConfig, rng: RngStream) -> dict:
     """Blur kernel family/shape plus the AWGN sigma, in fixed draw order."""
     size = config.kernel_sizes[int(rng.integers(1, len(config.kernel_sizes))[0])]
-    aniso = rng.uniform() < config.prob_aniso
-    if aniso:
+    if rng.uniform() < config.prob_aniso:
         angle = rng.uniform(config.aniso_angle_lo, config.aniso_angle_hi)
         major = rng.uniform(config.aniso_major_lo, config.aniso_major_hi)
         minor = major * rng.uniform(config.aniso_minor_frac_lo,
@@ -171,43 +157,36 @@ def sample_quality_params(config: AugmentConfig, rng: RngStream) -> dict:
 
 
 def augment_quality(x: LinearRgbImage, config: AugmentConfig, rng: RngStream):
+    """Blur, then AWGN drawn after it, once the filter's temporaries are freed."""
     p = sample_quality_params(config, rng)
     kernel = make_gaussian_kernel(p["r1"], p["r2"], p["angle"], p["size"])
+    blurred = spatial_filter(x.data, kernel.taps)
+    noise = p["awgn_sigma"] * rng.normals(x.data.size).reshape(x.data.shape)
+    return LinearRgbImage(blurred + noise), p
 
-    def noise():
-        return p["awgn_sigma"] * rng.normals(x.data.size).reshape(x.data.shape)
 
-    # The blur draws no random numbers, so both orders draw the same noise.
-    # Blur-first draws it after the blur, so that the filter's temporaries
-    # and the noise are not held at once.
-    if config.blur_before_noise:
-        out = spatial_filter(x.data, kernel.taps) + noise()
-    else:
-        out = spatial_filter(x.data + noise(), kernel.taps)
-    return LinearRgbImage(out), p
+# name -> (function, the keys of the params it returns), in draw order
+BRANCHES = {
+    "original": (lambda x, config, rng: (x, {}), ()),
+    "brightness": (augment_brightness, ("omega",)),
+    "chroma": (augment_chromaticity, ("omega_r", "omega_g", "omega_b")),
+    "quality": (augment_quality, ("kind", "size", "angle", "r1", "r2",
+                                  "awgn_sigma")),
+}
+PARAM_KEYS = sum((keys for _, keys in BRANCHES.values()), ())
 
 
 def sample_branch(config: AugmentConfig, rng: RngStream) -> str:
     u = rng.uniform()
-    edges = np.cumsum([config.prob_original, config.prob_brightness,
-                       config.prob_chroma, config.prob_quality])
+    edges = np.cumsum([getattr(config, f"prob_{name}") for name in BRANCHES])
     for branch, edge in zip(BRANCHES, edges):
         if u < edge:
             return branch
-    return BRANCHES[-1]
+    return branch  # the last one: the edges summed to just below 1
 
 
 def augment_pipeline(x: LinearRgbImage, config: AugmentConfig, rng: RngStream):
     """Apply exactly one branch; returns (image, branch, sampled params)."""
     branch = sample_branch(config, rng)
-    if branch == "original":
-        return x, branch, {}
-    if branch == "brightness":
-        out, omega = augment_brightness(x, config, rng)
-        return out, branch, {"omega": omega}
-    if branch == "chroma":
-        out, coeffs = augment_chromaticity(x, config, rng)
-        return out, branch, {"omega_r": coeffs[0], "omega_g": coeffs[1],
-                             "omega_b": coeffs[2]}
-    out, params = augment_quality(x, config, rng)
+    out, params = BRANCHES[branch][0](x, config, rng)
     return out, branch, params

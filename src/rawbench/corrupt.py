@@ -43,6 +43,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.delta_r < 0 or self.delta_s < 0:
             raise ParameterError("noise coefficients must be >= 0")
+        if math.isinf(float(self.delta_r) * self.delta_r):
+            raise ParameterError("delta_r^2 overflows a float")
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,8 @@ def corrupt_flare(x: LinearRgbImage, flare: np.ndarray, sigma2_scale: float,
     """Additive flare layer plus Gaussian noise whose variance is one
     chi-square(1) draw scaled by sigma2_scale."""
     flare = _flare_layer(x, flare)
+    if sigma2_scale < 0:
+        raise ParameterError("sigma2_scale must be >= 0")
     sigma2 = sigma2_scale * rng.chisq1()
     n = math.sqrt(sigma2) * rng.normals(x.data.size).reshape(x.data.shape)
     return LinearRgbImage(x.data + flare + n)

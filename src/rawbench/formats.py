@@ -261,7 +261,8 @@ def read_depth(path):
 
 
 def read_asset(path) -> np.ndarray:
-    """Additive overlay layer (flare/snow) from P5 or P6, scaled to [0, 1]."""
+    """Additive flare layer (the --flare of `corrupt` and `bench`) from P5 or
+    P6, scaled to [0, 1]."""
     header = _read_pnm(path, ("P5", "P6"), (255, 65535))
     return _pnm_codes(path, header) / header.maxval
 

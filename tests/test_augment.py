@@ -4,8 +4,7 @@ import pytest
 from rawbench import AugmentConfig, TruncatedNormal, augment, augment_pipeline
 from rawbench.augment import (BRANCHES, PARAM_KEYS, augment_brightness,
                               augment_chromaticity, augment_quality,
-                              sample_branch, sample_brightness_coeff,
-                              sample_chroma_coeffs, sample_quality_params,
+                              sample_branch, sample_quality_params,
                               sample_truncated_normal)
 from rawbench.errors import ParameterError
 from rawbench.rng import RngStream
@@ -13,6 +12,12 @@ from rawbench.rng import RngStream
 from conftest import random_rgb
 
 CONFIG = AugmentConfig()
+PIXEL = random_rgb(1, 1, seed=0)  # for drawing a branch's coefficients
+
+
+def draw_coeffs(branch, rng) -> dict:
+    """One sample of a branch's params dict."""
+    return BRANCHES[branch][0](PIXEL, CONFIG, rng)[1]
 
 
 class TestTruncatedNormal:
@@ -59,19 +64,20 @@ class TestTruncatedNormal:
 class TestBrightness:
     def test_scaling(self):
         rgb = random_rgb(8, 8, seed=4)
-        out, omega = augment_brightness(rgb, CONFIG, RngStream.from_seed(5))
-        assert np.array_equal(out.data, omega * rgb.data)
+        out, p = augment_brightness(rgb, CONFIG, RngStream.from_seed(5))
+        assert np.array_equal(out.data, p["omega"] * rgb.data)
 
     def test_omega_always_in_paper_range(self):
         rng = RngStream.from_seed(6)
         for _ in range(20000):
-            omega, _ = sample_brightness_coeff(CONFIG, rng)
+            omega = draw_coeffs("brightness", rng)["omega"]
             assert 0.01 <= omega <= 5.0
 
     def test_mixture_split(self):
         rng = RngStream.from_seed(7)
-        tags = [sample_brightness_coeff(CONFIG, rng)[1] for _ in range(10000)]
-        frac = tags.count("dark") / len(tags)
+        # the dark component lies in [0.01, 1], the bright one in [1, 5]
+        omegas = [draw_coeffs("brightness", rng)["omega"] for _ in range(10000)]
+        frac = sum(omega < 1.0 for omega in omegas) / len(omegas)
         assert abs(frac - 0.5) <= 0.02
 
 
@@ -79,7 +85,8 @@ class TestChromaticity:
     def test_sum_exactly_three(self):
         rng = RngStream.from_seed(8)
         for _ in range(50000):
-            w_r, w_g, w_b = sample_chroma_coeffs(CONFIG, rng)
+            p = draw_coeffs("chroma", rng)
+            w_r, w_g, w_b = p["omega_r"], p["omega_g"], p["omega_b"]
             assert w_r + w_g + w_b == 3.0
             assert 0.9 <= w_r <= 1.1 and 0.9 <= w_b <= 1.1
             assert 0.8 <= w_g <= 1.2
@@ -91,11 +98,20 @@ class TestChromaticity:
 
     def test_channel_scaling(self):
         rgb = random_rgb(8, 8, seed=10)
-        out, (w_r, w_g, w_b) = augment_chromaticity(rgb, CONFIG,
-                                                    RngStream.from_seed(11))
+        out, p = augment_chromaticity(rgb, CONFIG, RngStream.from_seed(11))
+        w_r, w_g, w_b = p["omega_r"], p["omega_g"], p["omega_b"]
         assert np.array_equal(out.data[..., 0], w_r * rgb.data[..., 0])
         assert np.array_equal(out.data[..., 1], w_g * rgb.data[..., 1])
         assert np.array_equal(out.data[..., 2], w_b * rgb.data[..., 2])
+
+    @pytest.mark.parametrize("bounds", [(0.9, 1e308), (-1e308, 1.1),
+                                        (-1e308, 1e308)])
+    def test_gains_beyond_the_float_range_are_invalid(self, bounds):
+        # round() of an infinite or NaN gain raised OverflowError/ValueError
+        config = AugmentConfig(chroma_lo=bounds[0], chroma_hi=bounds[1])
+        with pytest.raises(ParameterError, match="non-finite"):
+            for seed in range(20):
+                augment_chromaticity(PIXEL, config, RngStream.from_seed(seed))
 
     def test_mean_luminance_bound(self):
         rgb = random_rgb(16, 16, seed=12, lo=0.1, hi=0.9)
@@ -143,8 +159,7 @@ class TestQuality:
         assert pa == pb
         assert np.array_equal(a.data, b.data)
 
-    @pytest.mark.parametrize("blur_before_noise", [True, False])
-    def test_one_filter_per_sample(self, monkeypatch, blur_before_noise):
+    def test_one_filter_per_sample(self, monkeypatch):
         calls = []
         original = augment.spatial_filter
 
@@ -153,10 +168,9 @@ class TestQuality:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(augment, "spatial_filter", counted)
-        config = AugmentConfig(blur_before_noise=blur_before_noise)
         rgb = random_rgb(16, 16, seed=2)
         for seed in range(5):
-            augment_quality(rgb, config, RngStream.from_seed(seed))
+            augment_quality(rgb, CONFIG, RngStream.from_seed(seed))
         assert len(calls) == 5
 
 
@@ -199,8 +213,23 @@ class TestPipeline:
         for seed in range(40):
             _, branch, params = augment_pipeline(rgb, CONFIG, RngStream.from_seed(seed))
             keys[branch] |= set(params)
-        assert all(keys[branch] for branch in BRANCHES[1:])  # each one drawn
+        assert all(keys[branch] for branch in list(BRANCHES)[1:])  # each one drawn
         assert set().union(*keys.values()) == set(PARAM_KEYS)
+
+    def test_each_branch_returns_its_table_keys(self):
+        for branch, (_, keys) in BRANCHES.items():
+            assert tuple(draw_coeffs(branch, RngStream.from_seed(20))) == keys
+        # the coefficients.csv columns
+        assert PARAM_KEYS == ("omega", "omega_r", "omega_g", "omega_b", "kind",
+                              "size", "angle", "r1", "r2", "awgn_sigma")
+
+    def test_branches_follow_the_config_probabilities(self):
+        rgb = random_rgb(8, 8, seed=21)
+        for branch in BRANCHES:
+            only = {f"prob_{name}": float(name == branch) for name in BRANCHES}
+            _, taken, _ = augment_pipeline(rgb, AugmentConfig(**only),
+                                           RngStream.from_seed(22))
+            assert taken == branch
 
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ParameterError):

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -10,8 +12,9 @@ import pytest
 from rawbench import (GrayImage, LinearRgbImage, cli, demosaic_bilinear, formats,
                       isp, visualize_raw)
 from rawbench import augment as aug
+from rawbench import corrupt as cor
 
-from conftest import random_bayer
+from conftest import random_bayer, random_rgb
 
 
 @pytest.fixture
@@ -390,7 +393,7 @@ class TestAugmentConfig:
         {"aniso_minor_frac_lo": -0.5},
         {"awgn_sigma_max": float("inf")},
         {"brightness_mix": 2.0},
-        {"blur_before_noise": "no"},
+        {"prob_chroma": 0.5},  # the branch probabilities sum to 1.25
         {"brightness_dark": {"mu": "x", "sigma": 0.1, "lo": 0.0, "hi": 1.0}},
         {"brightness_dark": {"mu": 10**400, "sigma": 0.1, "lo": 0.0, "hi": 1.0}},
     ])
@@ -402,6 +405,15 @@ class TestAugmentConfig:
         assert self._run(tmp_path, raw_path, config) == cli.EXIT_FORMAT
         assert "E_SCHEMA_VALUE" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("*.ppm"))
+
+    def test_blur_before_noise_is_an_unknown_field(self, tmp_path, raw_path,
+                                                   capsys):
+        # quality always blurs before the noise; the order is no option
+        config = _write_json(tmp_path / "augment.json",
+                             {"schema_version": 1, "blur_before_noise": True})
+        assert self._run(tmp_path, raw_path, config) == cli.EXIT_FORMAT
+        assert "E_SCHEMA_FIELD" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_written_default_config_runs(self, tmp_path, raw_path):
         config = tmp_path / "augment.json"
@@ -426,6 +438,74 @@ class TestAugmentConfig:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
         assert run.returncode == cli.EXIT_FORMAT
         assert "E_SCHEMA_VALUE" in run.stderr and "mass" in run.stderr
+
+
+# --- extreme values: a file's value ends in exit 0, 4 or 5, never a raise ---
+
+@pytest.fixture
+def rgb_path(tmp_path):
+    path = tmp_path / "scene.ppm"
+    formats.write_rgb(random_rgb(8, 8, seed=13), path)
+    return path
+
+
+def _fixed_overrides():
+    """Every fixed parameter of every corruption kind at 0, -1 and +-1e300;
+    for a matrix, each entry at +-1e300."""
+    for kind, spec in cor.REGISTRY.items():
+        for param in (p for p in spec.params if p.mode == "fixed"):
+            if isinstance(param.rule, tuple):
+                cases = itertools.product(np.ndindex(3, 3), (1e300, -1e300))
+                for (i, j), value in cases:
+                    matrix = [list(row) for row in param.rule]
+                    matrix[i][j] = value
+                    yield pytest.param(kind, {param.name: matrix},
+                                       id=f"{kind}-{param.name}[{i}][{j}]={value}")
+            else:
+                for value in (0, -1, 1e300, -1e300):
+                    yield pytest.param(kind, {param.name: value},
+                                       id=f"{kind}-{param.name}={value}")
+
+
+@pytest.mark.parametrize("kind, params", list(_fixed_overrides()))
+def test_no_fixed_override_raises(tmp_path, rgb_path, kind, params):
+    # sigma2_scale < 0 (math.sqrt) and delta_r^2 beyond a float
+    # (OverflowError) were tracebacks
+    spec = _spec(tmp_path, kind, params=params)
+    code = cli.main(["corrupt", "--input", str(rgb_path), "--spec", str(spec),
+                     "--out", str(tmp_path / "out.ppm")])
+    assert code in (cli.EXIT_OK, cli.EXIT_FORMAT, cli.EXIT_INVALID)
+
+
+def _augment_extremes():
+    """Each real field of AugmentConfig, and of its truncated normals, at
+    +-1e308."""
+    for field in dataclasses.fields(aug.AugmentConfig):
+        for value in (1e308, -1e308):
+            if isinstance(field.default, float):
+                yield pytest.param({field.name: value},
+                                   id=f"{field.name}={value}")
+            elif isinstance(field.default, aug.TruncatedNormal):
+                for part in dataclasses.fields(aug.TruncatedNormal):
+                    tn = {**dataclasses.asdict(field.default), part.name: value}
+                    yield pytest.param({field.name: tn},
+                                       id=f"{field.name}.{part.name}={value}")
+
+
+@pytest.mark.parametrize("fields", list(_augment_extremes()))
+def test_no_augment_field_raises(tmp_path, rgb_path, fields):
+    # each branch alone, so that the sampler draws from every accepted value;
+    # chroma_hi 1e308 overflowed the gains' dyadic rounding (OverflowError).
+    # awgn_sigma_max 1e308 overflows the noise to a non-finite image, which
+    # is refused with exit 5, so numpy's overflow warning is no error here.
+    for branch in aug.BRANCHES:
+        only = {f"prob_{name}": float(name == branch) for name in aug.BRANCHES}
+        config = _write_json(tmp_path / "augment.json",
+                             {"schema_version": 1, **only, **fields})
+        with np.errstate(over="ignore"):
+            code = cli.main(["augment", "--input", str(rgb_path), "--augment-config",
+                             str(config), "--n", "2", "--out", str(tmp_path / branch)])
+        assert code in (cli.EXIT_OK, cli.EXIT_FORMAT, cli.EXIT_INVALID), branch
 
 
 

@@ -84,6 +84,11 @@ class TestFlare:
         with pytest.raises(DimensionError):
             corrupt_flare(rgb16, np.zeros((4, 4)), 0.0, RngStream.from_seed(0))
 
+    def test_negative_variance_scale_is_invalid(self, rgb16):
+        # math.sqrt of a negative variance raised a bare ValueError
+        with pytest.raises(ParameterError, match="sigma2_scale"):
+            corrupt_flare(rgb16, np.zeros((16, 16)), -1.0, RngStream.from_seed(0))
+
 
 class TestLowFlare:
     def test_zero_flare_equals_relight_same_stream(self, rgb16):
@@ -278,6 +283,13 @@ class TestDefocusBlur:
 
 
 class TestSensorNoise:
+    @pytest.mark.parametrize("delta_r", [1e155, 1e200, 10**200])
+    def test_read_noise_whose_square_overflows_is_invalid(self, delta_r):
+        # delta_r**2 raised OverflowError in the noise draw
+        with pytest.raises(ParameterError, match="delta_r"):
+            NoiseModel(delta_r, 0.0)
+        NoiseModel(1e154, 0.0)  # its square is still a float
+
     def test_quantization_bound(self):
         x = _const(64, 64, 0.5)
         out = corrupt_sensor_noise(x, ZERO_NOISE, 12, RngStream.from_seed(3))

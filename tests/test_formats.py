@@ -318,7 +318,8 @@ WRITTEN = {
                        ("other", cor.CorruptionSpec("rain", seed=3))])),
 }
 # SHA-256 of each writer's output, unchanged since the writers became
-# formats._to_json
+# formats._to_json, except that the augment config lost its
+# "blur_before_noise": true line when quality always blurred first
 PINNED = {
     "params_identity":
         "18d8385a95d394de7863bdb09059fc35ff022cdaff10bd0bdf52476fa2a04884",
@@ -333,7 +334,7 @@ PINNED = {
     "fit_custom_bounds":
         "fce7bcb9c7bc396938179d75234f763be102add8d53069650d4dea0bbd0bf9e9",
     "augment":
-        "cb3c49fb6655d460c9ba51421da65ba9771660eff79216c5d55ae275109ec81a",
+        "7360d1bf9444b36609729d07ddc25cbc26d421841238d182339a6e885543ed32",
     "spec":
         "a359af9e1d785f984419bcc538863599cf02b937b23c38727efa77ef9d9f540d",
     "manifest":

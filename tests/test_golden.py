@@ -210,14 +210,13 @@ def test_develop_cli_outputs_match_golden(tmp_path):
 #
 # SHA-256 of every file of `augment --n 8 --seed 12` on a 24 x 32 RAW, once
 # with the default config and once with a config that takes only the quality
-# branch and adds the noise before the blur. Between them the eight samples
-# take every branch, the iso and the aniso kernel, all three filter paths of
-# `raw.spatial_filter` and both noise orders (checked below, so that a
-# change of seed or config cannot drop one silently).
+# branch. Between them the eight samples take every branch, the iso and the
+# aniso kernel and all three filter paths of `raw.spatial_filter` (checked
+# below, so that a change of seed or config cannot drop one silently).
 
 AUGMENT_SEED = 12
 QUALITY_ONLY = dict(prob_original=0.0, prob_brightness=0.0, prob_chroma=0.0,
-                    prob_quality=1.0, blur_before_noise=False)
+                    prob_quality=1.0)
 
 # config -> {file: SHA-256}
 AUGMENT = {
@@ -245,21 +244,21 @@ AUGMENT = {
         "coefficients.csv":
             "c0cbaf3dc661d75a2d521891d529e2617fccb33e3f2d39aaef2ae12033b3891e",
         "scene_aug_0000.ppm":
-            "649067bd09ec18a17723d3ea472789705569a7e248834dc183f732ac27248bce",
+            "8b60680626db89a176a7cb205f47f225bd325a553d050532844604bcbcb66f97",
         "scene_aug_0001.ppm":
-            "34239d7df8a4a01de1d443b96a3738cca9eef2f3db70d3c4db462d6ed28b34c1",
+            "9cf30aabc185c623ac90834d6338cbdb724a2c3af02ca2482999829318c60e39",
         "scene_aug_0002.ppm":
-            "d5de4ca2cad788448e202d4a0f44c3350f4093c50e286b73d46efe4e1f4d7825",
+            "9defc3c41f815d635e6e0b71d59576976ce5584a5f140c2fdcabadbe702659ce",
         "scene_aug_0003.ppm":
-            "fd0d88c0e41d5905bafb5fe696326da638e32366936fb1a45277fa9386be2e22",
+            "d1d8dd305c29790dcd875f0985ff041d7f056ff0310a0547c2728354e9cf1443",
         "scene_aug_0004.ppm":
-            "f04cfb27c314b00421718a1df3c292f6f109be6a1dab197d8a4fe23e147c126c",
+            "70ffb58a9376a92720cb69a23a3d7319269bd8e43fea238150826941372269ab",
         "scene_aug_0005.ppm":
-            "7723844625f1108e165006e648d564d5772e3dfbc100b2b3075f5c1962508dea",
+            "806446cc68741ec27cba584bb989044de87d0b43ee2e3f46746cab27c71fbb46",
         "scene_aug_0006.ppm":
-            "62498a4aa8a9742d47b0437069fba5b92fa82eaec67ac1265340d84d533769b6",
+            "d7ffcae5f58a951ba15b09abb2a97d16780c330876f2cb8713eecce44aa5aebc",
         "scene_aug_0007.ppm":
-            "afa304186968cb8346435c66a776775fad7f7e6ec36ab94033d14b1af7be6c1a",
+            "60375d85b296509d882e430aca4fbadd054d2f9130df85206e69d45cb85743ba",
     },
 }
 
@@ -302,7 +301,7 @@ def test_augment_outputs_match_golden(tmp_path, config):
 
 def test_augment_goldens_cover_every_branch_and_filter_path(tmp_path):
     paths = set()
-    for config in AUGMENT:  # both noise orders: each config has quality samples
+    for config in AUGMENT:  # each config has quality samples
         assert run_augment(tmp_path, config, tmp_path / config) == cli.EXIT_OK
         config_paths = sample_paths(tmp_path / config / "coefficients.csv")
         assert "quality" in {p[0] for p in config_paths}, config
